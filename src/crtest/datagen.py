@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .data import Sample
 from .errors import IntegrationFailure
@@ -101,6 +100,7 @@ def true_delta(params: FamilyParams, tol: float = 1e-8) -> float:
     :class:`IntegrationFailure` if the estimated absolute error exceeds
     ``tol``.
     """
+    from scipy import integrate  # deferred: importing the package skips scipy
     lam, p1, a = params.lam, params.p1, params.a
     if p1 == 0.0:
         return 0.0

@@ -48,26 +48,6 @@ class ElSolution:
     residual: float
 
 
-def _score(lam: float, d: np.ndarray) -> float:
-    return float(np.mean(d / (1.0 + lam * d)))
-
-
-def _bracket_from_pole(pole: float, d: np.ndarray, positive: bool) -> float:
-    """Point just inside the admissible interval where the score has the
-    sign it carries at that end (the score diverges at the pole, so walking
-    toward it must eventually succeed)."""
-    f = 1e-9
-    while f >= 1e-300:
-        cand = pole * (1.0 - f)
-        g = _score(cand, d)
-        if g > 0.0 if positive else g < 0.0:
-            return cand
-        f *= 1e-3
-    raise NoConvergence(
-        "profile root indistinguishable from the admissible-interval endpoint"
-    )
-
-
 def solve_lambda(pseudo_values, delta0: float) -> ElSolution:
     """Solve the score equation at the hypothesized mean ``delta0``.
 
@@ -97,12 +77,14 @@ def solve_lambda(pseudo_values, delta0: float) -> ElSolution:
             f"delta0={delta0!r} is outside the open hull "
             f"({float(v.min())!r}, {float(v.max())!r}) of the pseudo-values"
         )
-    # Weights stay positive for lam in (-1/dmax, -1/dmin); the score falls
-    # from +inf to -inf across it, so the root is unique.
-    lo = _bracket_from_pole(-1.0 / dmax, d, positive=True)
-    hi = _bracket_from_pole(-1.0 / dmin, d, positive=False)
+    # The score falls from +inf to -inf across (-1/dmax, -1/dmin), so the root
+    # is unique.  Its weights 1/(n(1 + lam*d_i)) sum to 1, so none exceeds 1,
+    # which brackets it by Owen's bound (Empirical Likelihood, 2001, sec. 3.14).
+    lo = (1.0 / n - 1.0) / dmax
+    hi = (1.0 / n - 1.0) / dmin
     lam = 0.0
-    g = _score(lam, d)
+    q = d
+    g = float(np.mean(q))
     iterations = 0
     while abs(g) > _TOL and iterations < _MAX_ITER:
         iterations += 1
@@ -110,13 +92,13 @@ def solve_lambda(pseudo_values, delta0: float) -> ElSolution:
             lo = lam
         else:
             hi = lam
-        r = 1.0 + lam * d
-        slope = -float(np.mean((d / r) ** 2))
-        nxt = lam - g / slope
+        # the score's slope is -mean(q*q)
+        nxt = lam + g / float(np.mean(q * q))
         if not (lo < nxt < hi) or not math.isfinite(nxt):
             nxt = 0.5 * (lo + hi)
         lam = nxt
-        g = _score(lam, d)
+        q = d / (1.0 + lam * d)
+        g = float(np.mean(q))
     if abs(g) > _TOL:
         raise NoConvergence(
             f"score residual {abs(g):.3e} after {iterations} iterations (tol {_TOL:g})"

@@ -101,12 +101,15 @@ class SimTable:
 def _resolve_workers(workers: int | None) -> int:
     if workers is None:
         env = os.environ.get("CRTEST_THREADS", "").strip()
-        workers = int(env) if env else 0
+        try:
+            workers = int(env) if env else 0
+        except ValueError:
+            raise ValueError(f"CRTEST_THREADS must be an integer, got {env!r}") from None
     if workers < 0:
         raise ValueError(f"workers must be >= 0, got {workers!r}")
-    if workers == 0:
-        workers = os.cpu_count() or 1
-    return workers
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity else (os.cpu_count() or 1)
+    return min(workers or cpus, cpus)
 
 
 def _run_block(task: tuple) -> tuple:
@@ -144,7 +147,8 @@ def _run_block(task: tuple) -> tuple:
 
 
 def run(config: SimConfig, workers: int | None = None) -> SimTable:
-    """Execute the harness; ``workers`` falls back to CRTEST_THREADS (0 = auto)."""
+    """Execute the harness; ``workers`` falls back to CRTEST_THREADS (0 = auto)
+    and is capped at the available CPUs and the task count."""
     t_start = time.perf_counter()
     workers = _resolve_workers(workers)
     lam, p1, seed = config.params.lam, config.params.p1, config.params.seed
@@ -167,7 +171,8 @@ def run(config: SimConfig, workers: int | None = None) -> SimTable:
                               want_jel, want_ddk, config.ddk_two_sided,
                               jel_thr, ddk_thr))
 
-    if workers == 1 or len(tasks) == 1:
+    workers = min(workers, len(tasks))
+    if workers == 1:
         block_results = [_run_block(t) for t in tasks]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -193,7 +198,7 @@ def run(config: SimConfig, workers: int | None = None) -> SimTable:
                 for k, alpha in enumerate(config.alpha_grid):
                     if used > 0:
                         rate = rej_counts[k] / used
-                        stderr = math.sqrt(rate * (1.0 - rate) / config.reps)
+                        stderr = math.sqrt(rate * (1.0 - rate) / used)
                     else:
                         rate = math.nan
                         stderr = math.nan
@@ -242,6 +247,8 @@ def to_json(table: SimTable) -> str:
     payload = {
         "schema_version": SCHEMA_VERSION,
         "metadata": table.metadata,
-        "cells": [vars(c) for c in table.rows()],
+        # a cell whose replications were all excluded has NaN rate and stderr
+        "cells": [{k: None if isinstance(v, float) and math.isnan(v) else v
+                   for k, v in vars(c).items()} for c in table.rows()],
     }
-    return json.dumps(payload, indent=2, allow_nan=True) + "\n"
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"

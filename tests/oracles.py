@@ -70,6 +70,20 @@ def naive_delta_hat(times, causes) -> float:
     return 2.0 * total / (n * (n - 1))
 
 
+def dense_row_sums(times, causes) -> np.ndarray:
+    """Row sums of the full n-by-n matrix of symmetrized pair scores.
+
+    Builds the matrix by broadcasting (O(n^2) memory), so keep n small.
+    """
+    times = np.asarray(times, dtype=np.float64)
+    later = times[:, None] > times[None, :]
+    is1 = np.asarray(causes) == 1
+    raw = np.zeros((times.size, times.size), dtype=np.float64)
+    raw[later & (is1[:, None] & ~is1[None, :])] = 1.0
+    raw[later & (~is1[:, None] & is1[None, :])] = -1.0
+    return (0.5 * (raw + raw.T)).sum(axis=1)
+
+
 def naive_jackknife(times, causes):
     """Leave-one-out pseudo-values by full recomputation, O(n^3)."""
     n = len(times)

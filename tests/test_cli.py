@@ -1,6 +1,10 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import crtest
 from crtest.cli import cli_main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -138,3 +142,11 @@ def test_power_respects_method_choice(capsys):
     lines = capsys.readouterr().out.strip().split("\n")
     assert len(lines) == 2
     assert lines[1].startswith("ddk,")
+
+
+def test_cli_import_does_not_load_scipy():
+    src = str(Path(crtest.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import crtest.cli, sys; assert 'scipy' not in sys.modules"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -1,8 +1,11 @@
 import json
+import math
+import os
 
 import pytest
 
 from crtest import FamilyParams, SimConfig, run, to_csv, to_json
+from crtest.mc import _resolve_workers
 
 
 def small_config(**overrides):
@@ -53,7 +56,9 @@ def test_run_is_deterministic():
     assert t1.cells == t2.cells
 
 
-def test_workers_do_not_change_results():
+def test_workers_do_not_change_results(monkeypatch):
+    # two CPUs available, so the pool runs with two workers on any runner
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     cfg = small_config(reps=200, n_grid=(8,))
     serial = run(cfg, workers=1)
     parallel = run(cfg, workers=2)
@@ -145,11 +150,54 @@ def test_json_output_roundtrip():
     }
 
 
-def test_stderr_uses_total_replication_count():
-    table = run(small_config(reps=150), workers=1)
-    cell = table.get("jel", 1.0, 10, 0.05)
-    if cell.used:
-        import math
+def test_stderr_uses_used_replications():
+    cfg = small_config(params=FamilyParams(lam=1.0, p1=0.05, a=1.0, seed=2), n_grid=(3,), reps=300)
+    table = run(cfg, workers=1)
+    for method in ("jel", "ddk"):
+        cell = table.get(method, 1.0, 3, 0.05)
+        assert cell.excluded > 0 and cell.used > 0
+        assert cell.stderr == math.sqrt(cell.rate * (1.0 - cell.rate) / cell.used)
+        assert cell.stderr != math.sqrt(cell.rate * (1.0 - cell.rate) / 300)
 
-        expected = math.sqrt(cell.rate * (1.0 - cell.rate) / 150)
-        assert cell.stderr == pytest.approx(expected, abs=1e-15)
+
+def test_json_writes_undefined_rates_as_null():
+    # p1 = 0 gives one observed cause in every replication, so no method has
+    # a defined statistic and every rate is undefined
+    table = run(small_config(params=FamilyParams(lam=1.0, p1=0.0, a=1.0, seed=4)), workers=1)
+    assert all(c.used == 0 and math.isnan(c.rate) for c in table.rows())
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    payload = json.loads(to_json(table), parse_constant=reject)
+    for cell in payload["cells"]:
+        assert cell["rate"] is None and cell["stderr"] is None
+        assert cell["used"] == 0 and cell["excluded"] == 150
+
+
+def test_workers_bounded_by_available_cpus():
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    # resolving starts no process, so a huge request is safe to test
+    assert _resolve_workers(10**6) == cpus
+    assert _resolve_workers(0) == cpus
+    assert _resolve_workers(1) == 1
+    with pytest.raises(ValueError):
+        _resolve_workers(-1)
+
+
+def test_workers_bounded_by_task_count():
+    # 100 replications of one cell make two blocks of 50
+    table = run(small_config(reps=100), workers=8)
+    assert table.metadata["workers"] == min(2, _resolve_workers(8))
+
+
+@pytest.mark.parametrize("value", ["two", "1.5"])
+def test_non_integer_thread_variable_is_named_in_error(monkeypatch, value):
+    monkeypatch.setenv("CRTEST_THREADS", value)
+    with pytest.raises(ValueError, match="CRTEST_THREADS"):
+        _resolve_workers(None)
+
+
+def test_thread_variable_sets_requested_workers(monkeypatch):
+    monkeypatch.setenv("CRTEST_THREADS", "1")
+    assert _resolve_workers(None) == 1

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,9 +15,9 @@ from crtest import (
     kernel_sym,
     sample,
 )
-from crtest.ustat import kernel_matrix
+from crtest.ustat import row_scores
 
-from oracles import naive_delta_hat, naive_jackknife, random_tc
+from oracles import dense_row_sums, naive_delta_hat, naive_jackknife, random_tc
 
 
 def obs(t, c):
@@ -70,15 +71,40 @@ def test_delta_hat_matches_naive_on_random_samples():
         assert delta_hat(s) == pytest.approx(naive_delta_hat(times, causes), abs=1e-13)
 
 
-def test_kernel_matrix_agrees_with_scalar_kernel():
+def test_row_scores_agree_with_scalar_kernel():
     rng = np.random.default_rng(5)
     times, causes = random_tc(rng, 12, with_ties=True)
-    m = kernel_matrix(times, causes)
+    scores = row_scores(times, causes)
     for i in range(12):
+        expected = 0.0
         for l in range(12):
-            expected = kernel_sym(obs(times[i], int(causes[i])), obs(times[l], int(causes[l])))
-            assert m[i, l] == expected
-    assert np.all(np.diag(m) == 0.0)
+            expected += kernel_sym(obs(times[i], int(causes[i])), obs(times[l], int(causes[l])))
+        assert scores[i] == expected
+
+
+@pytest.mark.parametrize("with_ties", [True, False])
+def test_row_scores_equal_dense_row_sums_bitwise(with_ties):
+    rng = np.random.default_rng(41 + with_ties)
+    for n in (1, 2, 3, 7, 50, 333, 2000):
+        times, causes = random_tc(rng, n, with_ties=with_ties)
+        scores = row_scores(times, causes)
+        assert scores.dtype == np.float64
+        assert scores.tobytes() == dense_row_sums(times, causes).tobytes()
+    # one cause only: every score is +0.0
+    ones = np.ones(10, dtype=np.int64)
+    assert row_scores(np.arange(10.0), ones).tobytes() == np.zeros(10).tobytes()
+
+
+def test_jackknife_memory_is_linear_in_n():
+    n = 5000
+    s = sample(FamilyParams(lam=1.0, p1=0.4, a=1.5), n, rng=np.random.default_rng(12))
+    tracemalloc.start()
+    try:
+        jackknife(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * n
 
 
 def test_jackknife_worked_example():
