@@ -74,22 +74,34 @@ def cause1_probability(params: FamilyParams, t):
     return params.p1 * params.a * baseline_cdf(params, t) ** (params.a - 1.0)
 
 
+def draw(params: FamilyParams, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Times and causes from uniforms ``u`` of shape (R, 2n), one row per sample.
+
+    The first n uniforms of a row give its times by inverse transform, the
+    last n its causes; returns two (R, n) arrays.
+    """
+    n = u.shape[-1] // 2
+    ut, uc = u[..., :n], u[..., n:]
+    times = -np.log1p(-ut) / params.lam
+    # F(times) == ut exactly, so the cause draw can condition on ut directly
+    p_cause1 = params.p1 * params.a * ut ** (params.a - 1.0)
+    causes = np.where(uc < p_cause1, 1, 2)
+    return times, causes
+
+
 def sample(params: FamilyParams, n: int, rng: np.random.Generator | None = None) -> Sample:
     """Draw ``n`` observations; byte-for-byte reproducible from the seed.
 
-    An explicit ``rng`` overrides the one derived from ``params.seed``
-    (the simulation harness passes per-replication generators).
+    An explicit ``rng`` overrides the one derived from ``params.seed``.  One
+    ``rng.random(2 * n)`` call feeds :func:`draw`, which is how the
+    simulation harness draws each replication of a block.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n!r}")
     if rng is None:
         rng = rng_from_seed(params.seed)
-    u = rng.random(n)
-    times = -np.log1p(-u) / params.lam
-    # F(times) == u exactly, so the cause draw can condition on u directly
-    p_cause1 = params.p1 * params.a * u ** (params.a - 1.0)
-    causes = np.where(rng.random(n) < p_cause1, 1, 2)
-    return Sample.from_arrays(times, causes)
+    times, causes = draw(params, rng.random(2 * n)[None, :])
+    return Sample.from_arrays(times[0], causes[0])
 
 
 def true_delta(params: FamilyParams, tol: float = 1e-8) -> float:

@@ -27,19 +27,29 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .data import Sample
 from .errors import DegenerateSample, SampleTooSmall
 from .specialfn import normal_quantile, normal_sf
 from .ustat import delta_hat
 
 
-def zstat(d_hat: float, p1_hat: float, n: int) -> float:
-    """Standardized statistic from precomputed pieces (see module note)."""
-    if not 0.0 < p1_hat < 1.0:
+def zstat(d_hat, p1_hat, n: int):
+    """Standardized statistic from precomputed pieces (see module note).
+
+    ``d_hat`` and ``p1_hat`` are scalars or equal-length arrays (one entry per
+    sample of size ``n``); an array call returns an array of z values.
+    """
+    p = np.asarray(p1_hat, dtype=np.float64)
+    observed = (0.0 < p) & (p < 1.0)
+    if not observed.all():
         raise DegenerateSample(
-            f"both causes must be observed; cause-1 fraction is {p1_hat!r}"
+            f"both causes must be observed; cause-1 fraction is {float(p[~observed].flat[0])!r}"
         )
-    return 2.0 * math.sqrt(n) * d_hat / math.sqrt((4.0 / 3.0) * p1_hat * (1.0 - p1_hat))
+    d = np.asarray(d_hat, dtype=np.float64)
+    z = 2.0 * math.sqrt(n) * d / np.sqrt((4.0 / 3.0) * p * (1.0 - p))
+    return float(z) if z.ndim == 0 else z
 
 
 def ddk_z(sample: Sample) -> tuple[float, float, float]:

@@ -14,6 +14,13 @@ chi-square law with one degree of freedom (the jackknife empirical
 likelihood route of Jing, Yuan & Zhou, 2009), which is what calibrates the
 independence test: reject when the statistic exceeds the upper chi-square
 quantile.
+
+There is one solver, a safeguarded Newton iteration (Owen, Empirical
+Likelihood, 2001, ch. 3) vectorised over the rows of an (R, n) stack of
+pseudo-values: each row keeps its own bracket and stops on its own, so a row
+solved in a stack gets exactly the result of solving it alone.
+``solve_lambda`` and ``jel_statistic`` are its one-row case, and
+``jel_statistics`` serves the Monte Carlo harness a whole block at a time.
 """
 
 from __future__ import annotations
@@ -48,12 +55,73 @@ class ElSolution:
     residual: float
 
 
+def _newton_rows(d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Solve the score equation for every row of ``d`` (R, n) at once.
+
+    Each row must have min < 0 < max.  Returns per-row ``(lam, iterations,
+    residual)``.  A row leaves the active set once its absolute score drops
+    to the tolerance; every row follows exactly the steps a one-row call
+    would take, so stacking never changes a result.  Raises
+    :class:`NoConvergence` if any row is still active after the iteration
+    cap.
+    """
+    r, n = d.shape
+    # The score falls from +inf to -inf across (-1/dmax, -1/dmin), so the root
+    # is unique.  Its weights 1/(n(1 + lam*d_i)) sum to 1, so none exceeds 1,
+    # which brackets it by Owen's bound (Empirical Likelihood, 2001, sec. 3.14).
+    lo = (1.0 / n - 1.0) / d.max(axis=1)
+    hi = (1.0 / n - 1.0) / d.min(axis=1)
+    lam = np.zeros(r)
+    iterations = np.zeros(r, dtype=np.int64)
+    residual = np.empty(r)
+    # the active rows: their index, pseudo-values, q = d/(1 + lam*d), score
+    # mean(q), multiplier and bracket
+    rows, da, q, la = np.arange(r), d, d, np.zeros(r)
+    ga = np.add.reduce(d, axis=1) / n
+    step = 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while True:
+            left = np.abs(ga) > _TOL
+            active = np.count_nonzero(left)
+            if active < rows.size:
+                done = ~left
+                lam[rows[done]] = la[done]
+                residual[rows[done]] = np.abs(ga[done])
+                iterations[rows[done]] = step
+                if not active:
+                    return lam, iterations, residual
+                rows, da, q, ga = rows[left], da[left], q[left], ga[left]
+                la, lo, hi = la[left], lo[left], hi[left]
+            if step == _MAX_ITER:
+                raise NoConvergence(
+                    f"score residual {float(np.abs(ga).max()):.3e} after {step} iterations "
+                    f"(tol {_TOL:g}) in {rows.size} of {r} rows"
+                )
+            step += 1
+            pos = ga > 0.0
+            lo = np.where(pos, la, lo)
+            hi = np.where(pos, hi, la)
+            # the score's slope is -mean(q*q); a NaN or infinite Newton step
+            # fails the bracket test and falls back to bisection
+            nxt = la + ga / (np.add.reduce(q * q, axis=1) / n)
+            la = np.where((lo < nxt) & (nxt < hi), nxt, 0.5 * (lo + hi))
+            q = da / (1.0 + la[:, None] * da)
+            ga = np.add.reduce(q, axis=1) / n
+
+
+def _log_ratio(ld: np.ndarray) -> np.ndarray:
+    """Profiled log ratio (<= 0) from lam*d, over the last axis."""
+    s = -np.add.reduce(np.log1p(ld), axis=-1)
+    return np.where(s < 0.0, s, 0.0)
+
+
 def solve_lambda(pseudo_values, delta0: float) -> ElSolution:
     """Solve the score equation at the hypothesized mean ``delta0``.
 
     Newton steps safeguarded by bisection on a maintained sign bracket;
     converged when the absolute score drops to 1e-10, capped at 100
-    iterations.
+    iterations.  This is the one-row case of the solver that
+    :func:`jel_statistics` runs over a whole stack of pseudo-value rows.
 
     Raises :class:`HullViolation` when ``delta0`` is not strictly inside
     (min V, max V) — the weight problem is infeasible there — and
@@ -70,49 +138,21 @@ def solve_lambda(pseudo_values, delta0: float) -> ElSolution:
         w = np.full(n, 1.0 / n)
         w.flags.writeable = False
         return ElSolution(lam=0.0, weights=w, log_ratio=0.0, iterations=0, residual=0.0)
-    dmin = float(d.min())
-    dmax = float(d.max())
-    if not (dmin < 0.0 < dmax):
+    if not (d.min() < 0.0 < d.max()):
         raise HullViolation(
             f"delta0={delta0!r} is outside the open hull "
             f"({float(v.min())!r}, {float(v.max())!r}) of the pseudo-values"
         )
-    # The score falls from +inf to -inf across (-1/dmax, -1/dmin), so the root
-    # is unique.  Its weights 1/(n(1 + lam*d_i)) sum to 1, so none exceeds 1,
-    # which brackets it by Owen's bound (Empirical Likelihood, 2001, sec. 3.14).
-    lo = (1.0 / n - 1.0) / dmax
-    hi = (1.0 / n - 1.0) / dmin
-    lam = 0.0
-    q = d
-    g = float(np.mean(q))
-    iterations = 0
-    while abs(g) > _TOL and iterations < _MAX_ITER:
-        iterations += 1
-        if g > 0.0:
-            lo = lam
-        else:
-            hi = lam
-        # the score's slope is -mean(q*q)
-        nxt = lam + g / float(np.mean(q * q))
-        if not (lo < nxt < hi) or not math.isfinite(nxt):
-            nxt = 0.5 * (lo + hi)
-        lam = nxt
-        q = d / (1.0 + lam * d)
-        g = float(np.mean(q))
-    if abs(g) > _TOL:
-        raise NoConvergence(
-            f"score residual {abs(g):.3e} after {iterations} iterations (tol {_TOL:g})"
-        )
-    ld = lam * d
+    lam, iterations, residual = _newton_rows(d[None, :])
+    ld = lam[0] * d
     weights = 1.0 / (n * (1.0 + ld))
     weights.flags.writeable = False
-    log_ratio = min(0.0, -float(np.sum(np.log1p(ld))))
     return ElSolution(
-        lam=lam,
+        lam=float(lam[0]),
         weights=weights,
-        log_ratio=log_ratio,
-        iterations=iterations,
-        residual=abs(g),
+        log_ratio=float(_log_ratio(ld)),
+        iterations=int(iterations[0]),
+        residual=float(residual[0]),
     )
 
 
@@ -133,6 +173,25 @@ def jel_statistic(pseudo_values) -> tuple[float, bool, bool, ElSolution | None]:
     except HullViolation:
         return math.inf, False, False, None
     return -2.0 * el.log_ratio, True, False, el
+
+
+def jel_statistics(pseudo_values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`jel_statistic` over each row of an (R, n) pseudo-value stack.
+
+    Returns ``(statistic, degenerate, iterations)``, each of length R.
+    Degenerate (all-zero) rows get statistic 0 and hull violations +inf,
+    both with 0 iterations; the remaining rows are solved together.
+    """
+    v = pseudo_values
+    degenerate = ~v.any(axis=1)
+    stat = np.where(degenerate, 0.0, math.inf)
+    iterations = np.zeros(v.shape[0], dtype=np.int64)
+    rows = np.flatnonzero((v.min(axis=1) < 0.0) & (v.max(axis=1) > 0.0))
+    if rows.size:
+        d = v[rows]
+        lam, iterations[rows], _ = _newton_rows(d)
+        stat[rows] = -2.0 * _log_ratio(lam[:, None] * d)
+    return stat, degenerate, iterations
 
 
 @dataclass(frozen=True)

@@ -7,10 +7,21 @@ never changes the draws.  Replication streams are keyed by
 which makes results identical regardless of execution schedule or worker
 count; reduction is over integer rejection counts only.
 
+A task block works on stacked arrays: each replication's generator draws its
+uniforms into one row of an R-by-2n array, and the block's samples are
+scored, jackknifed and tested together (``ustat.jackknife_rows``,
+``jel.jel_statistics``, ``ddk.zstat``), in sub-blocks of at most
+``_BLOCK_ELEMS`` values so that memory does not grow with the replication
+count.  Every row gives the same numbers as the single-sample API.
+
 Replications where a method's statistic is undefined (every pseudo-value
 zero for the empirical-likelihood test, a single observed cause for the
 normal-calibrated test) are excluded from that method's denominator and
-tallied in ``SimCell.excluded`` instead of failing the run.
+tallied in ``SimCell.excluded`` instead of failing the run.  Replications
+where 0 lies outside the pseudo-value hull get an infinite ``jel`` statistic,
+count as rejections, and are tallied in ``SimCell.hull_violations``;
+``newton_iters_max`` is the most Newton steps any of the cell's ``jel``
+solves took.
 """
 
 from __future__ import annotations
@@ -19,16 +30,22 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .datagen import GENERATOR, SEED_SCHEME, FamilyParams, rng_from_seed, sample
-from .jel import jel_statistic
-from .specialfn import chisq1_quantile, normal_quantile
-from .ustat import delta_hat, jackknife
+import numpy as np
+
+from .datagen import GENERATOR, SEED_SCHEME, FamilyParams, draw, rng_from_seed
 from .ddk import zstat
+from .jel import jel_statistics
+from .specialfn import chisq1_quantile, normal_quantile
+from .ustat import jackknife_rows
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
+
+# Largest R*n stack one sub-block holds: bounds a block's memory whatever
+# its replication count, while keeping numpy's per-call overhead amortised.
+_BLOCK_ELEMS = 1 << 14
 
 _METHOD_ORDER = ("jel", "ddk")
 
@@ -82,6 +99,8 @@ class SimCell:
     rejections: int
     used: int
     excluded: int
+    hull_violations: int = 0
+    newton_iters_max: int = 0
 
 
 @dataclass
@@ -112,38 +131,63 @@ def _resolve_workers(workers: int | None) -> int:
     return min(workers or cpus, cpus)
 
 
-def _run_block(task: tuple) -> tuple:
-    (lam, p1, seed, a, n, a_idx, n_idx, rep_lo, rep_hi,
-     want_jel, want_ddk, ddk_abs, jel_thr, ddk_thr) = task
-    params = FamilyParams(lam=lam, p1=p1, a=a, seed=seed)
+@lru_cache(maxsize=8)
+def _thresholds(alpha_grid: tuple[float, ...], two_sided: bool) -> tuple[tuple[float, ...], ...]:
+    """Per-alpha critical values of the jel statistic and of the ddk z.
+
+    Cached because every block of a run needs the same ones and each
+    quantile is a root search.
+    """
+    jel_thr = tuple(chisq1_quantile(1.0 - al) for al in alpha_grid)
+    half = 0.5 if two_sided else 1.0
+    ddk_thr = tuple(normal_quantile(1.0 - al * half) for al in alpha_grid)
+    return jel_thr, ddk_thr
+
+
+def _run_block(config: SimConfig, a_idx: int, n_idx: int, rep_lo: int, rep_hi: int) -> tuple:
+    """Replications ``rep_lo..rep_hi`` of one (a, n) cell, as stacked arrays.
+
+    Each replication keeps its own spawn-keyed generator and one
+    ``random(2n)`` draw, so a row is the sample ``sample()`` would give.
+    The rows are cut into sub-blocks of at most ``_BLOCK_ELEMS`` values; each
+    sub-block gets one ``jackknife_rows``, one ``jel_statistics`` and one
+    ``zstat`` call.
+    """
+    a, n = config.a_grid[a_idx], config.n_grid[n_idx]
+    params = FamilyParams(lam=config.params.lam, p1=config.params.p1, a=a, seed=config.params.seed)
+    seed = params.seed
+    jel_thr, ddk_thr = _thresholds(config.alpha_grid, config.ddk_two_sided)
+    want_jel = "jel" in config.methods
+    want_ddk = "ddk" in config.methods
     jel_rej = [0] * len(jel_thr)
     ddk_rej = [0] * len(ddk_thr)
-    jel_exc = 0
-    ddk_exc = 0
-    for rep in range(rep_lo, rep_hi):
-        rng = rng_from_seed(seed, (a_idx, n_idx, rep))
-        s = sample(params, n, rng=rng)
-        jk = None
+    jel_exc = ddk_exc = hull = iters_max = 0
+    step = max(1, _BLOCK_ELEMS // n)
+    for lo in range(rep_lo, rep_hi, step):
+        reps = range(lo, min(lo + step, rep_hi))
+        u = np.empty((len(reps), 2 * n))
+        for row, rep in zip(u, reps):
+            rng_from_seed(seed, (a_idx, n_idx, rep)).random(out=row)
+        times, causes = draw(params, u)
+        d_hat, pseudo = jackknife_rows(times, causes)
         if want_jel:
-            jk = jackknife(s)
-            stat, _, degenerate, _ = jel_statistic(jk.pseudo_values)
-            if degenerate:
-                jel_exc += 1
-            else:
-                for k, thr in enumerate(jel_thr):
-                    jel_rej[k] += stat > thr
+            stat, degenerate, iterations = jel_statistics(pseudo)
+            jel_exc += int(degenerate.sum())
+            hull += int(np.isinf(stat).sum())
+            iters_max = max(iters_max, int(iterations.max()))
+            stat = stat[~degenerate]
+            for k, thr in enumerate(jel_thr):
+                jel_rej[k] += int((stat > thr).sum())
         if want_ddk:
-            p1_hat = s.count_cause(1) / n
-            if p1_hat == 0.0 or p1_hat == 1.0:
-                ddk_exc += 1
-            else:
-                dh = jk.delta_hat if jk is not None else delta_hat(s)
-                z = zstat(dh, p1_hat, n)
-                if ddk_abs:
-                    z = abs(z)
-                for k, thr in enumerate(ddk_thr):
-                    ddk_rej[k] += z > thr
-    return (a_idx, n_idx, jel_rej, ddk_rej, jel_exc, ddk_exc)
+            p1_hat = (causes == 1).sum(axis=1) / n
+            observed = (p1_hat > 0.0) & (p1_hat < 1.0)
+            ddk_exc += int((~observed).sum())
+            z = zstat(d_hat[observed], p1_hat[observed], n)
+            if config.ddk_two_sided:
+                z = np.abs(z)
+            for k, thr in enumerate(ddk_thr):
+                ddk_rej[k] += int((z > thr).sum())
+    return (a_idx, n_idx, jel_rej, ddk_rej, jel_exc, ddk_exc, hull, iters_max)
 
 
 def run(config: SimConfig, workers: int | None = None) -> SimTable:
@@ -152,48 +196,46 @@ def run(config: SimConfig, workers: int | None = None) -> SimTable:
     t_start = time.perf_counter()
     workers = _resolve_workers(workers)
     lam, p1, seed = config.params.lam, config.params.p1, config.params.seed
-    want_jel = "jel" in config.methods
-    want_ddk = "ddk" in config.methods
-    jel_thr = tuple(chisq1_quantile(1.0 - al) for al in config.alpha_grid) if want_jel else ()
-    if want_ddk:
-        half = 0.5 if config.ddk_two_sided else 1.0
-        ddk_thr = tuple(normal_quantile(1.0 - al * half) for al in config.alpha_grid)
-    else:
-        ddk_thr = ()
 
     chunk = config.reps if workers == 1 else max(50, math.ceil(config.reps / (4 * workers)))
-    tasks = []
-    for a_idx, a in enumerate(config.a_grid):
-        for n_idx, n in enumerate(config.n_grid):
-            for lo in range(0, config.reps, chunk):
-                tasks.append((lam, p1, seed, a, n, a_idx, n_idx,
-                              lo, min(lo + chunk, config.reps),
-                              want_jel, want_ddk, config.ddk_two_sided,
-                              jel_thr, ddk_thr))
+    tasks = [
+        (config, a_idx, n_idx, lo, min(lo + chunk, config.reps))
+        for a_idx in range(len(config.a_grid))
+        for n_idx in range(len(config.n_grid))
+        for lo in range(0, config.reps, chunk)
+    ]
 
     workers = min(workers, len(tasks))
     if workers == 1:
-        block_results = [_run_block(t) for t in tasks]
+        block_results = [_run_block(*t) for t in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            block_results = list(pool.map(_run_block, tasks))
+        # deferred: the pool machinery costs start-up time and memory that
+        # one-worker runs and the other commands never use
+        from concurrent.futures import ProcessPoolExecutor
 
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            block_results = list(pool.map(_run_block, *zip(*tasks)))
+
+    n_alpha = len(config.alpha_grid)
     acc: dict[tuple[int, int], list] = {}
-    for a_idx, n_idx, jr, dr, je, de in block_results:
-        slot = acc.setdefault(
-            (a_idx, n_idx), [[0] * len(jel_thr), [0] * len(ddk_thr), 0, 0]
-        )
+    for a_idx, n_idx, jr, dr, je, de, hv, it in block_results:
+        slot = acc.setdefault((a_idx, n_idx), [[0] * n_alpha, [0] * n_alpha, 0, 0, 0, 0])
         slot[0] = [x + y for x, y in zip(slot[0], jr)]
         slot[1] = [x + y for x, y in zip(slot[1], dr)]
         slot[2] += je
         slot[3] += de
+        slot[4] += hv
+        slot[5] = max(slot[5], it)
 
     cells: dict[tuple[str, float, int, float], SimCell] = {}
     for method in (m for m in _METHOD_ORDER if m in config.methods):
         for a_idx, a in enumerate(config.a_grid):
             for n_idx, n in enumerate(config.n_grid):
-                jr, dr, je, de = acc[(a_idx, n_idx)]
-                rej_counts, exc = (jr, je) if method == "jel" else (dr, de)
+                jr, dr, je, de, hv, it = acc[(a_idx, n_idx)]
+                if method == "jel":
+                    rej_counts, exc = jr, je
+                else:
+                    rej_counts, exc, hv, it = dr, de, 0, 0
                 used = config.reps - exc
                 for k, alpha in enumerate(config.alpha_grid):
                     if used > 0:
@@ -206,6 +248,7 @@ def run(config: SimConfig, workers: int | None = None) -> SimTable:
                         method=method, a=a, n=n, alpha=alpha,
                         rate=rate, stderr=stderr,
                         rejections=rej_counts[k], used=used, excluded=exc,
+                        hull_violations=hv, newton_iters_max=it,
                     )
 
     from . import __version__  # deferred: this module is re-exported by the package root
@@ -224,6 +267,7 @@ def run(config: SimConfig, workers: int | None = None) -> SimTable:
         "ddk_two_sided": config.ddk_two_sided,
         "generator": f"{GENERATOR}; {SEED_SCHEME}",
         "workers": workers,
+        "newton_iters_max": max(slot[5] for slot in acc.values()),
         "wall_time_s": round(time.perf_counter() - t_start, 3),
     }
     return SimTable(cells=cells, metadata=metadata)
@@ -234,11 +278,12 @@ def _fmt(x: float) -> str:
 
 
 def to_csv(table: SimTable) -> str:
-    lines = ["method,a,n,alpha,rate,stderr,excluded,rejections,used"]
+    lines = ["method,a,n,alpha,rate,stderr,excluded,rejections,used,hull_violations,newton_iters_max"]
     for c in table.rows():
         lines.append(
             f"{c.method},{_fmt(c.a)},{c.n},{_fmt(c.alpha)},"
-            f"{_fmt(c.rate)},{_fmt(c.stderr)},{c.excluded},{c.rejections},{c.used}"
+            f"{_fmt(c.rate)},{_fmt(c.stderr)},{c.excluded},{c.rejections},{c.used},"
+            f"{c.hull_violations},{c.newton_iters_max}"
         )
     return "\n".join(lines) + "\n"
 

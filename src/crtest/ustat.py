@@ -12,6 +12,12 @@ unbiased pair-average estimate of delta, and ``jackknife`` turns it into
 leave-one-out pseudo-values for the empirical-likelihood test in
 :mod:`crtest.jel`; both take O(n log n) time and O(n) memory, from the rank
 counts of ``row_scores``.
+
+``row_scores`` and ``jackknife_rows`` also take (R, n) stacks of R samples
+and score them row by row in one pass; the Monte Carlo harness
+(:mod:`crtest.mc`) uses them on whole blocks of replications, and the
+single-sample functions are their R = 1 case, so every caller shares one
+pair-score routine with bit-identical results.
 """
 
 from __future__ import annotations
@@ -54,17 +60,50 @@ def row_scores(times: np.ndarray, causes: np.ndarray) -> np.ndarray:
 
     A cause-1 subject scores 1/2 per cause-2 subject failing strictly earlier
     and -1/2 per one failing strictly later; cause 2 is the mirror image, and
-    ties score 0 (the sort-based counting of Knight, 1966).
+    ties score 0 (the sort-based counting of Knight, 1966).  ``times`` and
+    ``causes`` are (n,) arrays or (R, n) stacks of R samples scored row by
+    row; a 1-D call is the R = 1 case.  Each row is sorted once (stable), and
+    the partners before and after each subject's tie group are counted with
+    integer cumulative sums.
     """
-    is1 = causes == 1
-    out = np.empty(times.size, dtype=np.float64)
-    for mine, sign in ((is1, 1), (~is1, -1)):
-        other = np.sort(times[~mine])
-        t = times[mine]
-        # (strictly earlier) - (strictly later) partners of the other cause
-        net = np.searchsorted(other, t, "left") + np.searchsorted(other, t, "right") - other.size
-        out[mine] = 0.5 * (sign * net)  # signed as integers, so zero scores stay +0.0
-    return out
+    t = np.atleast_2d(np.asarray(times, dtype=np.float64))
+    r, n = t.shape
+    order = np.argsort(t, axis=1, kind="stable")
+    sorted_at = (np.arange(r)[:, None], order)
+    # starts[:, k]: sorted position k opens a tie group; k = n closes the last
+    starts = np.ones((r, n + 1), dtype=bool)
+    ts = t[sorted_at]
+    np.not_equal(ts[:, 1:], ts[:, :-1], out=starts[:, 1:n])
+    del ts
+
+    def at_group_edges(cum: np.ndarray) -> np.ndarray:
+        # cum[first] + cum[end] for each sorted position's tie group
+        # [first, end); cum is nondecreasing along each row
+        edges = np.where(starts[:, :n], cum[:, :n], 0)
+        np.maximum.accumulate(edges, axis=1, out=edges)
+        after = np.where(starts[:, :0:-1], cum[:, :0:-1], cum[:, n:])
+        np.minimum.accumulate(after, axis=1, out=after)
+        edges += after[:, ::-1]
+        return edges
+
+    both = at_group_edges(np.arange(n + 1)[None, :])
+    is1 = np.atleast_2d(causes)[sorted_at] == 1
+    cum1 = np.zeros((r, n + 1), dtype=np.int64)  # cause-1 among the first k
+    np.cumsum(is1, axis=1, out=cum1[:, 1:])
+    total1 = cum1[:, n:].copy()
+    ones = at_group_edges(cum1)
+    del cum1, starts
+    # (strictly earlier) - (strictly later) partners of the other cause,
+    # signed as integers so that zero scores stay +0.0
+    both -= ones
+    both -= n - total1
+    ones -= total1
+    np.negative(ones, out=ones)
+    np.copyto(both, ones, where=~is1)
+    del ones, is1
+    out = np.empty((r, n), dtype=np.float64)
+    out[sorted_at] = 0.5 * both
+    return out[0] if np.ndim(times) == 1 else out
 
 
 def delta_hat(sample: Sample) -> float:
@@ -94,21 +133,31 @@ class JackknifeSet:
     n: int
 
 
-def jackknife(sample: Sample) -> JackknifeSet:
-    """Leave-one-out pseudo-values of ``delta_hat`` in O(n log n) time, O(n) memory.
+def jackknife_rows(times: np.ndarray, causes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``delta_hat`` (R,) and pseudo-values (R, n) of an (R, n) stack of samples.
 
     Dropping observation i removes exactly its row score from the pair
     total, so the n leave-one-out estimates come from one pass of rank
-    counts (``row_scores``) instead of n re-evaluations.  Needs n >= 3 so
-    the leave-one-out samples still contain a pair.
+    counts (``row_scores``) instead of n re-evaluations.  Needs n >= 3.
+    """
+    n = times.shape[-1]
+    row = row_scores(times, causes)
+    # every row score is a multiple of 1/2, so these sums are exact
+    total = row.sum(axis=-1, keepdims=True) / 2.0
+    d_full = 2.0 * total / (n * (n - 1))
+    loo = 2.0 * (total - row) / ((n - 1) * (n - 2))
+    return d_full[..., 0], n * d_full - (n - 1) * loo
+
+
+def jackknife(sample: Sample) -> JackknifeSet:
+    """Leave-one-out pseudo-values of ``delta_hat`` in O(n log n) time, O(n) memory.
+
+    The R = 1 case of :func:`jackknife_rows`.  Needs n >= 3 so the
+    leave-one-out samples still contain a pair.
     """
     n = sample.n
     if n < 3:
         raise SampleTooSmall(f"jackknife needs n >= 3 observations, got {n}")
-    row = row_scores(sample.times, sample.causes)
-    total = float(row.sum()) / 2.0
-    d_full = 2.0 * total / (n * (n - 1))
-    loo = 2.0 * (total - row) / ((n - 1) * (n - 2))
-    pseudo = n * d_full - (n - 1) * loo
+    d_full, pseudo = jackknife_rows(sample.times, sample.causes)
     pseudo.flags.writeable = False
-    return JackknifeSet(delta_hat=d_full, pseudo_values=pseudo, n=n)
+    return JackknifeSet(delta_hat=float(d_full), pseudo_values=pseudo, n=n)

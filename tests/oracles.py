@@ -104,3 +104,40 @@ def random_tc(rng, n: int, with_ties: bool = False):
         times = rng.exponential(scale=1.0, size=n)
     causes = rng.integers(1, 3, size=n)
     return times, causes
+
+
+# --- scalar empirical-likelihood solve ---------------------------------------
+
+def scalar_solve_lambda(d, tol: float = 1e-10, max_iter: int = 100):
+    """One-sample safeguarded Newton solve of the EL score equation at 0.
+
+    The package's solver before it was vectorised over rows, kept step for
+    step: Owen's closed-form bracket, one Newton step per iteration with a
+    bisection fallback, Python-float scalars throughout.  ``d`` must have
+    min < 0 < max.  Returns ``(lam, iterations, residual, statistic)``, or
+    None when the cap is hit unconverged.
+    """
+    d = np.asarray(d, dtype=np.float64)
+    n = d.size
+    lo = (1.0 / n - 1.0) / float(d.max())
+    hi = (1.0 / n - 1.0) / float(d.min())
+    lam = 0.0
+    q = d
+    g = float(np.mean(q))
+    iterations = 0
+    while abs(g) > tol and iterations < max_iter:
+        iterations += 1
+        if g > 0.0:
+            lo = lam
+        else:
+            hi = lam
+        nxt = lam + g / float(np.mean(q * q))
+        if not (lo < nxt < hi) or not math.isfinite(nxt):
+            nxt = 0.5 * (lo + hi)
+        lam = nxt
+        q = d / (1.0 + lam * d)
+        g = float(np.mean(q))
+    if abs(g) > tol:
+        return None
+    log_ratio = min(0.0, -float(np.sum(np.log1p(lam * d))))
+    return lam, iterations, abs(g), -2.0 * log_ratio

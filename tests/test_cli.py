@@ -150,3 +150,11 @@ def test_cli_import_does_not_load_scipy():
     code = "import crtest.cli, sys; assert 'scipy' not in sys.modules"
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_import_does_not_load_process_pool():
+    src = str(Path(crtest.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import crtest.cli, sys; assert 'concurrent.futures.process' not in sys.modules"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

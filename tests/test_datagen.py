@@ -1,10 +1,11 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from crtest import FamilyParams, rng_from_seed, sample, true_delta
-from crtest.datagen import baseline_cdf, cause1_probability, sub_distribution_cause1
+from crtest.datagen import baseline_cdf, cause1_probability, draw, sub_distribution_cause1
 
 from oracles import closed_form_delta
 
@@ -42,6 +43,26 @@ def test_sample_rng_override_is_deterministic():
     s3 = sample(p, 100, rng=rng_from_seed(9, (1, 2, 4)))
     assert s1 == s2
     assert s1 != s3
+
+
+def test_sample_stream_is_pinned():
+    # digest taken when sample() drew times and causes with two random(n)
+    # calls; the single random(2n) draw must keep the stream
+    s = sample(FamilyParams(lam=1, p1=0.4, a=1.5, seed=9), 50, rng=rng_from_seed(9, (1, 2, 3)))
+    digest = hashlib.sha256(s.times.tobytes() + s.causes.tobytes()).hexdigest()
+    assert digest == "32ff8c8fafa8e7c6591364570256ae16c851491c7acd595f1e4618cf66b37474"
+
+
+@pytest.mark.parametrize("n", [1, 3, 20, 101])
+def test_stacked_draw_rows_equal_sample(n):
+    p = FamilyParams(lam=0.7, p1=0.3, a=1.8, seed=4)
+    u = np.array([rng_from_seed(4, (0, 1, rep)).random(2 * n) for rep in range(30)])
+    times, causes = draw(p, u)
+    assert times.shape == causes.shape == (30, n)
+    for rep in range(30):
+        s = sample(p, n, rng=rng_from_seed(4, (0, 1, rep)))
+        assert s.times.tobytes() == times[rep].tobytes()
+        assert np.array_equal(s.causes, causes[rep])
 
 
 def test_sample_values_are_valid():

@@ -38,6 +38,20 @@ def test_zstat_rejects_degenerate_fraction():
         zstat(0.1, 1.0, 10)
 
 
+def test_zstat_accepts_arrays():
+    d_hat = np.array([0.1, -0.05, 0.0, 0.2])
+    p1_hat = np.array([0.5, 0.25, 0.9, 0.1])
+    z = zstat(d_hat, p1_hat, 40)
+    assert z.shape == (4,)
+    for i in range(4):
+        one = zstat(float(d_hat[i]), float(p1_hat[i]), 40)
+        assert isinstance(one, float)
+        assert np.array([one]).tobytes() == z[i:i + 1].tobytes()
+    assert zstat(d_hat[:0], p1_hat[:0], 40).shape == (0,)
+    with pytest.raises(DegenerateSample):
+        zstat(d_hat, np.array([0.5, 0.25, 1.0, 0.1]), 40)
+
+
 def test_ddk_z_single_cause_sample():
     s = Sample([obs(1, 1), obs(2, 1), obs(3, 1)])
     with pytest.raises(DegenerateSample):

@@ -5,6 +5,7 @@ import pytest
 
 from crtest import (
     HullViolation,
+    NoConvergence,
     Observation,
     Sample,
     SampleTooSmall,
@@ -15,7 +16,17 @@ from crtest import (
     solve_lambda,
 )
 
-from oracles import CLOSED_FORM_LAMBDA, CLOSED_FORM_STAT, CLOSED_FORM_WEIGHTS
+import crtest.jel
+from crtest.jel import jel_statistics
+from crtest.ustat import jackknife_rows
+
+from oracles import (
+    CLOSED_FORM_LAMBDA,
+    CLOSED_FORM_STAT,
+    CLOSED_FORM_WEIGHTS,
+    random_tc,
+    scalar_solve_lambda,
+)
 
 
 def obs(t, c):
@@ -207,3 +218,52 @@ def test_solver_handles_extreme_but_interior_hypothesis():
     el = solve_lambda(v, delta0)
     assert el.residual <= 1e-10
     assert -2.0 * el.log_ratio > 10.0
+
+
+@pytest.mark.parametrize("with_ties", [True, False])
+def test_batched_solver_rows_match_scalar_oracle_bitwise(with_ties):
+    rng = np.random.default_rng(61 + with_ties)
+    solved = unsolved = 0
+    for n in (3, 5, 8, 20, 50, 120, 200):
+        pairs = [random_tc(rng, n, with_ties=with_ties) for _ in range(40)]
+        times = np.array([t for t, _ in pairs])
+        causes = np.array([c for _, c in pairs])
+        # unbalanced causes give hull violations and degenerate rows too
+        causes[::4] = np.where(rng.random((10, n)) < 0.1, 1, 2)
+        pseudo = jackknife_rows(times, causes)[1]
+        stat, degenerate, iterations = jel_statistics(pseudo)
+        for i in range(40):
+            one_stat, hull_ok, one_degenerate, el = jel_statistic(pseudo[i])
+            assert np.array([one_stat]).tobytes() == stat[i].tobytes()
+            assert one_degenerate == degenerate[i]
+            if not hull_ok or one_degenerate:
+                assert iterations[i] == 0
+                unsolved += 1
+                continue
+            lam, iters, residual, ref_stat = scalar_solve_lambda(pseudo[i])
+            assert np.array([el.lam, el.residual]).tobytes() == np.array([lam, residual]).tobytes()
+            assert el.iterations == iters == iterations[i]
+            assert np.array([ref_stat]).tobytes() == stat[i].tobytes()
+            solved += 1
+    assert solved > 200 and unsolved > 10
+
+
+def test_batched_solver_on_generic_pseudo_values():
+    rng = np.random.default_rng(67)
+    v = np.array([random_pseudo(rng, 30) for _ in range(200)])
+    stat, degenerate, iterations = jel_statistics(v)
+    assert not degenerate.any() and np.isfinite(stat).all()
+    for i in range(200):
+        lam, iters, _, ref_stat = scalar_solve_lambda(v[i])
+        assert iters == iterations[i] and ref_stat == stat[i]
+        assert solve_lambda(v[i], 0.0).lam == lam
+
+
+def test_iteration_cap_raises_no_convergence(monkeypatch):
+    monkeypatch.setattr(crtest.jel, "_MAX_ITER", 1)
+    v = np.array([-1.0, 0.5, 2.0])
+    assert scalar_solve_lambda(v, max_iter=1) is None
+    with pytest.raises(NoConvergence):
+        solve_lambda(v, 0.0)
+    with pytest.raises(NoConvergence):
+        jel_statistics(np.array([[-1.0, 1.0, 1.0], [-1.0, 0.5, 2.0]]))

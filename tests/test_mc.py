@@ -1,11 +1,28 @@
 import json
 import math
 import os
+import tracemalloc
 
 import pytest
 
-from crtest import FamilyParams, SimConfig, run, to_csv, to_json
-from crtest.mc import _resolve_workers
+import crtest.jel
+from crtest import (
+    DegenerateSample,
+    FamilyParams,
+    NoConvergence,
+    SimConfig,
+    chisq1_quantile,
+    ddk_z,
+    jackknife,
+    jel_statistic,
+    normal_quantile,
+    rng_from_seed,
+    run,
+    sample,
+    to_csv,
+    to_json,
+)
+from crtest.mc import _BLOCK_ELEMS, _resolve_workers, _run_block
 
 
 def small_config(**overrides):
@@ -118,7 +135,8 @@ def test_one_sided_ddk_raises_power_under_positive_dependence():
 def test_metadata_records_reproduction_info():
     table = run(small_config(), workers=1)
     md = table.metadata
-    assert md["schema_version"] == 1
+    assert md["schema_version"] == 2
+    assert md["newton_iters_max"] == max(c.newton_iters_max for c in table.rows())
     assert md["seed"] == 55
     assert md["reps"] == 150
     assert md["methods"] == ["jel", "ddk"]
@@ -131,7 +149,9 @@ def test_csv_output_shape():
     table = run(small_config(alpha_grid=(0.05, 0.1)), workers=1)
     text = to_csv(table)
     lines = text.strip().split("\n")
-    assert lines[0] == "method,a,n,alpha,rate,stderr,excluded,rejections,used"
+    assert lines[0] == (
+        "method,a,n,alpha,rate,stderr,excluded,rejections,used,hull_violations,newton_iters_max"
+    )
     assert len(lines) == 1 + len(table.cells)
     first = lines[1].split(",")
     assert first[0] in ("jel", "ddk")
@@ -141,12 +161,14 @@ def test_csv_output_shape():
 def test_json_output_roundtrip():
     table = run(small_config(), workers=1)
     payload = json.loads(to_json(table))
-    assert payload["schema_version"] == 1
+    assert payload["schema_version"] == 2
     assert payload["metadata"]["seed"] == 55
+    assert payload["metadata"]["newton_iters_max"] == table.metadata["newton_iters_max"]
     assert len(payload["cells"]) == len(table.cells)
     cell = payload["cells"][0]
     assert set(cell) == {
         "method", "a", "n", "alpha", "rate", "stderr", "rejections", "used", "excluded",
+        "hull_violations", "newton_iters_max",
     }
 
 
@@ -201,3 +223,100 @@ def test_non_integer_thread_variable_is_named_in_error(monkeypatch, value):
 def test_thread_variable_sets_requested_workers(monkeypatch):
     monkeypatch.setenv("CRTEST_THREADS", "1")
     assert _resolve_workers(None) == 1
+
+
+def replay(cfg, a_idx, n_idx):
+    """One cell recomputed replication by replication through the public API."""
+    a, n = cfg.a_grid[a_idx], cfg.n_grid[n_idx]
+    params = FamilyParams(lam=cfg.params.lam, p1=cfg.params.p1, a=a, seed=cfg.params.seed)
+    jel_thr = [chisq1_quantile(1.0 - al) for al in cfg.alpha_grid]
+    ddk_thr = [normal_quantile(1.0 - al / 2.0) for al in cfg.alpha_grid]
+    jel_rej = [0] * len(jel_thr)
+    ddk_rej = [0] * len(ddk_thr)
+    jel_exc = ddk_exc = hull = iters_max = 0
+    for rep in range(cfg.reps):
+        s = sample(params, n, rng=rng_from_seed(cfg.params.seed, (a_idx, n_idx, rep)))
+        stat, hull_ok, degenerate, el = jel_statistic(jackknife(s).pseudo_values)
+        if degenerate:
+            jel_exc += 1
+        else:
+            hull += math.isinf(stat)
+            iters_max = max(iters_max, el.iterations if hull_ok else 0)
+            for k, thr in enumerate(jel_thr):
+                jel_rej[k] += stat > thr
+        try:
+            z = abs(ddk_z(s)[0])
+        except DegenerateSample:
+            ddk_exc += 1
+        else:
+            for k, thr in enumerate(ddk_thr):
+                ddk_rej[k] += z > thr
+    return (a_idx, n_idx, jel_rej, ddk_rej, jel_exc, ddk_exc, hull, iters_max)
+
+
+# p1 = 0.1 at n = 20 has hull violations; p1 = 0.05 at n = 3 has replications
+# with one observed cause, which are degenerate for both methods
+REPLAY_CONFIGS = {
+    "hull": small_config(params=FamilyParams(lam=1.0, p1=0.1, a=1.0, seed=8), n_grid=(20,),
+                         a_grid=(1.0, 1.5), alpha_grid=(0.01, 0.05), reps=600),
+    "degenerate": small_config(params=FamilyParams(lam=1.0, p1=0.05, a=1.0, seed=2), n_grid=(3,),
+                               alpha_grid=(0.01, 0.05), reps=400),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPLAY_CONFIGS))
+def test_run_block_counts_equal_public_replay(case):
+    cfg = REPLAY_CONFIGS[case]
+    for a_idx in range(len(cfg.a_grid)):
+        expected = replay(cfg, a_idx, 0)
+        assert _run_block(cfg, a_idx, 0, 0, cfg.reps) == expected
+        # split blocks of a pool run add up to the same counts
+        lo, hi = _run_block(cfg, a_idx, 0, 0, 150), _run_block(cfg, a_idx, 0, 150, cfg.reps)
+        assert [x + y for x, y in zip(lo[2], hi[2])] == expected[2]
+        assert [x + y for x, y in zip(lo[3], hi[3])] == expected[3]
+        assert (lo[4] + hi[4], lo[5] + hi[5], lo[6] + hi[6]) == expected[4:7]
+    if case == "hull":
+        assert expected[6] > 0
+    else:
+        assert expected[4] > 0 and expected[5] > 0
+
+
+def test_hull_violations_equal_replayed_infinite_statistics():
+    cfg = REPLAY_CONFIGS["hull"]
+    table = run(cfg, workers=1)
+    for a_idx, a in enumerate(cfg.a_grid):
+        hull, iters_max = replay(cfg, a_idx, 0)[6:]
+        assert hull > 0
+        for alpha in cfg.alpha_grid:
+            assert table.get("jel", a, 20, alpha).hull_violations == hull
+            assert table.get("jel", a, 20, alpha).newton_iters_max == iters_max
+            assert table.get("ddk", a, 20, alpha).hull_violations == 0
+    assert table.metadata["newton_iters_max"] > 0
+
+
+def test_no_convergence_surfaces_from_harness(monkeypatch):
+    monkeypatch.setattr(crtest.jel, "_MAX_ITER", 1)
+    with pytest.raises(NoConvergence):
+        crtest.jel.solve_lambda([-1.0, 0.5, 2.0], 0.0)
+    # the run fails as a whole: no table, so no unconverged statistic is
+    # counted as a rejection
+    with pytest.raises(NoConvergence):
+        run(small_config(n_grid=(20,)), workers=1)
+
+
+def test_run_block_memory_is_bounded_by_sub_block():
+    # one block holds every replication, as at workers=1; the stacked arrays
+    # are cut into sub-blocks, so the peak follows _BLOCK_ELEMS, not reps * n
+    reps, n = 2000, 400
+    cfg = small_config(n_grid=(n,), reps=reps)
+    _run_block(cfg, 0, 0, 0, 1)  # warm up lazy imports and caches
+    tracemalloc.start()
+    try:
+        _run_block(cfg, 0, 0, 0, reps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = 128 * _BLOCK_ELEMS
+    assert peak < bound
+    # two float64 copies of the whole stack would already exceed the bound
+    assert bound < 16 * reps * n

@@ -15,7 +15,7 @@ from crtest import (
     kernel_sym,
     sample,
 )
-from crtest.ustat import row_scores
+from crtest.ustat import jackknife_rows, row_scores
 
 from oracles import dense_row_sums, naive_delta_hat, naive_jackknife, random_tc
 
@@ -93,6 +93,39 @@ def test_row_scores_equal_dense_row_sums_bitwise(with_ties):
     # one cause only: every score is +0.0
     ones = np.ones(10, dtype=np.int64)
     assert row_scores(np.arange(10.0), ones).tobytes() == np.zeros(10).tobytes()
+
+
+def random_stack(rng, rows, n, with_ties):
+    pairs = [random_tc(rng, n, with_ties=with_ties) for _ in range(rows)]
+    return np.array([t for t, _ in pairs]), np.array([c for _, c in pairs])
+
+
+@pytest.mark.parametrize("with_ties", [True, False])
+def test_row_scores_stack_equals_row_by_row_bitwise(with_ties):
+    rng = np.random.default_rng(43 + with_ties)
+    for n in (1, 2, 3, 4, 9, 20, 57, 200):
+        times, causes = random_stack(rng, 25, n, with_ties)
+        causes[0] = 1  # a single-cause row scores +0.0 throughout
+        stacked = row_scores(times, causes)
+        assert stacked.shape == (25, n)
+        for i in range(25):
+            one = row_scores(times[i], causes[i])
+            assert one.tobytes() == stacked[i].tobytes()
+            assert np.array_equal(np.signbit(one), np.signbit(stacked[i]))
+
+
+@pytest.mark.parametrize("with_ties", [True, False])
+def test_jackknife_rows_equal_jackknife_bitwise(with_ties):
+    rng = np.random.default_rng(47 + with_ties)
+    for n in (3, 4, 11, 60, 200):
+        times, causes = random_stack(rng, 20, n, with_ties)
+        causes[0] = 2
+        d_hat, pseudo = jackknife_rows(times, causes)
+        for i in range(20):
+            jk = jackknife(Sample.from_arrays(times[i], causes[i]))
+            assert jk.delta_hat == d_hat[i]
+            assert jk.pseudo_values.tobytes() == pseudo[i].tobytes()
+            assert np.array_equal(np.signbit(jk.pseudo_values), np.signbit(pseudo[i]))
 
 
 def test_jackknife_memory_is_linear_in_n():
