@@ -14,7 +14,6 @@ from .errors import (
     DegenerateSample,
     DomainError,
     HullViolation,
-    IntegrationFailure,
     NegativeTime,
     NoConvergence,
     ParseError,
@@ -48,7 +47,6 @@ __all__ = [
     "DegenerateSample",
     "DomainError",
     "HullViolation",
-    "IntegrationFailure",
     "NegativeTime",
     "NoConvergence",
     "ParseError",

@@ -149,25 +149,16 @@ def _cmd_test(args: argparse.Namespace) -> str:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> str:
+    """Run ``simulate`` or ``power``; ``simulate`` is the one-point grid."""
+    if args.command == "simulate":
+        a_grid, n_grid, alphas = (args.a,), (args.n,), args.alpha
+    else:
+        a_grid, n_grid, alphas = args.a_grid, args.n_grid, args.alphas
     config = SimConfig(
-        params=FamilyParams(lam=args.lam, p1=args.p1, a=args.a, seed=args.seed),
-        n_grid=(args.n,),
-        alpha_grid=args.alpha,
-        a_grid=(args.a,),
-        reps=args.reps,
-        methods=_methods(args.method),
-        ddk_two_sided=not args.ddk_one_sided,
-    )
-    table = run(config, workers=args.workers)
-    return to_json(table) if args.format == "json" else to_csv(table)
-
-
-def _cmd_power(args: argparse.Namespace) -> str:
-    config = SimConfig(
-        params=FamilyParams(lam=args.lam, p1=args.p1, a=args.a_grid[0], seed=args.seed),
-        n_grid=args.n_grid,
-        alpha_grid=args.alphas,
-        a_grid=args.a_grid,
+        params=FamilyParams(lam=args.lam, p1=args.p1, a=a_grid[0], seed=args.seed),
+        n_grid=n_grid,
+        alpha_grid=alphas,
+        a_grid=a_grid,
         reps=args.reps,
         methods=_methods(args.method),
         ddk_two_sided=not args.ddk_one_sided,
@@ -183,12 +174,7 @@ def cli_main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse handles --help and usage errors
         return int(exc.code or 0)
     try:
-        if args.command == "test":
-            output = _cmd_test(args)
-        elif args.command == "simulate":
-            output = _cmd_simulate(args)
-        else:
-            output = _cmd_power(args)
+        output = _cmd_test(args) if args.command == "test" else _cmd_simulate(args)
     except (CrtestError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

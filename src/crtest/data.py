@@ -50,19 +50,21 @@ class Sample:
     def from_arrays(cls, times, causes) -> "Sample":
         """Build a sample from parallel arrays, validating vectorized."""
         t = np.array(times, dtype=np.float64)
-        c = np.array(causes, dtype=np.int64)
-        if t.ndim != 1 or c.shape != t.shape:
+        raw = np.asarray(causes)
+        if t.ndim != 1 or raw.shape != t.shape:
             raise ValueError("times and causes must be 1-d arrays of equal length")
         self = object.__new__(cls)
-        self._adopt(t, c)
+        self._adopt(t, raw)
         return self
 
-    def _adopt(self, t: np.ndarray, c: np.ndarray) -> None:
+    def _adopt(self, t: np.ndarray, raw: np.ndarray) -> None:
+        # check the causes before the int64 cast, which would truncate 1.5 to 1
         if t.size:
             if not np.all(np.isfinite(t)) or float(t.min()) < 0.0:
                 raise ValueError("every time must be finite and >= 0")
-            if not np.all((c == 1) | (c == 2)):
+            if not np.all((raw == 1) | (raw == 2)):
                 raise ValueError("every cause must be 1 or 2")
+        c = np.array(raw, dtype=np.int64)
         t.flags.writeable = False
         c.flags.writeable = False
         object.__setattr__(self, "_times", t)

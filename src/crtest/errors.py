@@ -36,10 +36,6 @@ class DomainError(CrtestError):
     """Argument outside the mathematical domain of a special function."""
 
 
-class IntegrationFailure(CrtestError):
-    """Numerical quadrature could not reach the requested tolerance."""
-
-
 class ParseError(CrtestError):
     """A CSV cell or column reference could not be interpreted."""
 

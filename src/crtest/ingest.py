@@ -14,7 +14,7 @@ import hashlib
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .data import Sample
@@ -172,10 +172,9 @@ class RunReport:
     n_dropped: int
     input_sha256: str
     tool_version: str
-    extra: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        d = {
+        return {
             "schema_version": SCHEMA_VERSION,
             "method": self.method,
             "n_used": self.n_used,
@@ -184,9 +183,6 @@ class RunReport:
             "tool_version": self.tool_version,
             "result": self.result.to_dict(),
         }
-        if self.extra:
-            d["extra"] = dict(self.extra)
-        return d
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2) + "\n"

@@ -67,7 +67,10 @@ class SimConfig:
     ddk_two_sided: bool = True
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
+        n_grid = tuple(self.n_grid)
+        if any(not float(n).is_integer() for n in n_grid):
+            raise ValueError(f"n_grid values must be integers, got {n_grid!r}")
+        object.__setattr__(self, "n_grid", tuple(int(n) for n in n_grid))
         object.__setattr__(self, "alpha_grid", tuple(float(a) for a in self.alpha_grid))
         object.__setattr__(self, "a_grid", tuple(float(a) for a in self.a_grid))
         object.__setattr__(self, "methods", tuple(self.methods))
@@ -80,8 +83,8 @@ class SimConfig:
         for a in self.a_grid:
             # reuse the family's own range check
             FamilyParams(lam=self.params.lam, p1=self.params.p1, a=a, seed=self.params.seed)
-        if self.reps < 100:
-            raise ValueError(f"reps must be >= 100, got {self.reps!r}")
+        if not isinstance(self.reps, (int, np.integer)) or self.reps < 100:
+            raise ValueError(f"reps must be an integer >= 100, got {self.reps!r}")
         if not self.methods or any(m not in _METHOD_ORDER for m in self.methods):
             raise ValueError(f"methods must be a non-empty subset of {_METHOD_ORDER}")
 

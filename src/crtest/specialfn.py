@@ -3,8 +3,9 @@
 Built directly on libm's erf/erfc, which are accurate to a few ulps — far
 inside the 1e-12 absolute error this package needs.  The chi-square pieces
 use the df=1 identity P(X <= x) = erf(sqrt(x/2)); no incomplete-gamma code.
-Quantiles invert the CDFs by plain bisection: monotone, bounded, and cheap at
-the call rates seen here.
+The normal quantile inverts the CDF by plain bisection (monotone, bounded,
+and cheap at the call rates seen here); the chi-square(1) quantile is the
+square of a normal quantile.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import math
 from .errors import DomainError
 
 _SQRT2 = math.sqrt(2.0)
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 def normal_cdf(x: float) -> float:
@@ -25,10 +25,6 @@ def normal_cdf(x: float) -> float:
 def normal_sf(x: float) -> float:
     """Standard normal upper tail probability, accurate far into the tail."""
     return 0.5 * math.erfc(x / _SQRT2)
-
-
-def normal_pdf(x: float) -> float:
-    return math.exp(-0.5 * x * x) / _SQRT_2PI
 
 
 def normal_quantile(p: float) -> float:
@@ -60,17 +56,7 @@ def chisq1_sf(x: float) -> float:
 
 
 def chisq1_quantile(p: float) -> float:
-    """Inverse of ``chisq1_cdf`` on (0, 1): grow a bracket, then bisect."""
+    """Inverse of ``chisq1_cdf`` on (0, 1), from chi-square(1) = Z**2."""
     if not 0.0 < p < 1.0:
         raise DomainError(f"chisq1_quantile needs 0 < p < 1, got {p!r}")
-    hi = 1.0
-    while chisq1_cdf(hi) < p:
-        hi *= 2.0
-    lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if chisq1_cdf(mid) < p:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return normal_quantile(0.5 + 0.5 * p) ** 2

@@ -145,9 +145,24 @@ def test_power_respects_method_choice(capsys):
 
 
 def test_cli_import_does_not_load_scipy():
+    # importing crtest.cli loads no scipy, and with scipy unimportable every
+    # public entry point, true_delta included, still runs
     src = str(Path(crtest.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import crtest.cli, sys; assert 'scipy' not in sys.modules"
+    code = "\n".join([
+        "import sys",
+        "import crtest.cli",
+        "assert 'scipy' not in sys.modules",
+        "sys.modules['scipy'] = None",
+        "from crtest import FamilyParams, ddk_test, jel_test, sample, true_delta",
+        "p = FamilyParams(lam=1.0, p1=0.4, a=1.5, seed=3)",
+        "assert true_delta(p) > 0.0",
+        "s = sample(p, 40)",
+        "jel_test(s)",
+        "ddk_test(s)",
+        "args = ['simulate', '--p1', '0.4', '--a', '1.5', '--n', '10', '--reps', '100', '--seed', '3']",
+        "assert crtest.cli.cli_main(args) == 0",
+    ])
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
 

@@ -55,6 +55,8 @@ def test_sample_rejects_bad_arrays():
     with pytest.raises(ValueError):
         Sample.from_arrays([1.0, 2.0], [1, 3])
     with pytest.raises(ValueError):
+        Sample.from_arrays([1.0, 2.0, 3.0], [1.5, 2.9, 1])
+    with pytest.raises(ValueError):
         Sample.from_arrays([1.0, 2.0], [1])
     with pytest.raises(ValueError):
         Sample.from_arrays([[1.0], [2.0]], [[1], [2]])

@@ -111,10 +111,12 @@ def test_sub_distribution_limits():
 
 
 def test_true_delta_matches_closed_form_grid():
-    for p1 in (0.1, 0.3, 0.5):
-        for a in (1.0, 1.2, 1.5, 1.8, 2.0):
-            p = FamilyParams(lam=1.0, p1=p1, a=a)
-            assert true_delta(p) == pytest.approx(closed_form_delta(p1, a), abs=1e-8)
+    for lam in (0.1, 1.0, 10.0):
+        for p1 in (0.0, 0.1, 0.3, 0.5):
+            for a in np.linspace(1.0, 2.0, 101):
+                p = FamilyParams(lam=lam, p1=p1, a=float(a))
+                assert true_delta(p) == pytest.approx(closed_form_delta(p1, float(a)), abs=1e-12)
+            assert true_delta(FamilyParams(lam=lam, p1=p1, a=1.0)) == 0.0
 
 
 def test_true_delta_nonnegative_and_increasing_in_a():

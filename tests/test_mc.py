@@ -45,6 +45,10 @@ def test_config_validation():
     with pytest.raises(ValueError):
         small_config(n_grid=())
     with pytest.raises(ValueError):
+        small_config(n_grid=(10, 20.7))
+    with pytest.raises(ValueError):
+        small_config(reps=150.0)
+    with pytest.raises(ValueError):
         small_config(alpha_grid=(0.0,))
     with pytest.raises(ValueError):
         small_config(alpha_grid=(1.0,))
