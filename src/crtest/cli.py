@@ -155,7 +155,8 @@ def _cmd_simulate(args: argparse.Namespace) -> str:
     else:
         a_grid, n_grid, alphas = args.a_grid, args.n_grid, args.alphas
     config = SimConfig(
-        params=FamilyParams(lam=args.lam, p1=args.p1, a=a_grid[0], seed=args.seed),
+        # a is a placeholder: the run takes it from a_grid, cell by cell
+        params=FamilyParams(lam=args.lam, p1=args.p1, a=1.0, seed=args.seed),
         n_grid=n_grid,
         alpha_grid=alphas,
         a_grid=a_grid,

@@ -98,6 +98,14 @@ def _cell(row: list[str], idx: int, row_num: int) -> str:
     return row[idx].strip()
 
 
+def _records(reader, path: str | Path):
+    """Numbered rows of ``reader``; a malformed record raises :class:`ParseError`."""
+    try:
+        yield from enumerate(reader, start=1)
+    except csv.Error as exc:
+        raise ParseError(reader.line_num, str(path), f"malformed CSV: {exc}") from None
+
+
 def ingest(spec: IngestSpec) -> IngestResult:
     """Read, fingerprint and recode one CSV file.
 
@@ -112,8 +120,7 @@ def ingest(spec: IngestSpec) -> IngestResult:
     except UnicodeDecodeError as exc:
         raise ParseError(0, str(spec.path), f"not valid UTF-8: {exc}") from None
 
-    reader = csv.reader(io.StringIO(text))
-    rows = enumerate(reader, start=1)
+    rows = _records(csv.reader(io.StringIO(text)), spec.path)
 
     header: list[str] | None = None
     if spec.has_header:

@@ -7,11 +7,11 @@ never changes the draws.  Replication streams are keyed by
 which makes results identical regardless of execution schedule or worker
 count; reduction is over integer rejection counts only.
 
-A task block works on stacked arrays: each replication's generator draws its
-uniforms into one row of an R-by-2n array, and the block's samples are
+Each task works on one stack: each replication's generator draws its
+uniforms into one row of an R-by-2n array, and the task's samples are
 scored, jackknifed and tested together (``ustat.jackknife_rows``,
-``jel.jel_statistics``, ``ddk.zstat``), in sub-blocks of at most
-``_BLOCK_ELEMS`` values so that memory does not grow with the replication
+``jel.jel_statistics``, ``ddk.zstat``).  A task holds at most
+``_BLOCK_ELEMS`` values, so memory does not grow with the replication
 count.  Every row gives the same numbers as the single-sample API.
 
 Replications where a method's statistic is undefined (every pseudo-value
@@ -43,8 +43,8 @@ from .ustat import jackknife_rows
 
 SCHEMA_VERSION = 2
 
-# Largest R*n stack one sub-block holds: bounds a block's memory whatever
-# its replication count, while keeping numpy's per-call overhead amortised.
+# Largest R*n stack one task holds: bounds a task's memory whatever the
+# replication count, while keeping numpy's per-call overhead amortised.
 _BLOCK_ELEMS = 1 << 14
 
 _METHOD_ORDER = ("jel", "ddk")
@@ -74,6 +74,10 @@ class SimConfig:
         object.__setattr__(self, "alpha_grid", tuple(float(a) for a in self.alpha_grid))
         object.__setattr__(self, "a_grid", tuple(float(a) for a in self.a_grid))
         object.__setattr__(self, "methods", tuple(self.methods))
+        for name in ("n_grid", "alpha_grid", "a_grid"):
+            grid = getattr(self, name)
+            if len(set(grid)) != len(grid):
+                raise ValueError(f"{name} must not repeat a value, got {grid!r}")
         if not self.n_grid or any(n < 3 for n in self.n_grid):
             raise ValueError("n_grid must be non-empty with every n >= 3")
         if not self.alpha_grid or any(not 0.0 < a < 1.0 for a in self.alpha_grid):
@@ -127,6 +131,8 @@ def _resolve_workers(workers: int | None) -> int:
             workers = int(env) if env else 0
         except ValueError:
             raise ValueError(f"CRTEST_THREADS must be an integer, got {env!r}") from None
+    elif not isinstance(workers, (int, np.integer)):
+        raise ValueError(f"workers must be an integer, got {workers!r}")
     if workers < 0:
         raise ValueError(f"workers must be >= 0, got {workers!r}")
     affinity = getattr(os, "sched_getaffinity", None)
@@ -138,7 +144,7 @@ def _resolve_workers(workers: int | None) -> int:
 def _thresholds(alpha_grid: tuple[float, ...], two_sided: bool) -> tuple[tuple[float, ...], ...]:
     """Per-alpha critical values of the jel statistic and of the ddk z.
 
-    Cached because every block of a run needs the same ones and each
+    Cached because every task of a run needs the same ones and each
     quantile is a root search.
     """
     jel_thr = tuple(chisq1_quantile(1.0 - al) for al in alpha_grid)
@@ -147,50 +153,36 @@ def _thresholds(alpha_grid: tuple[float, ...], two_sided: bool) -> tuple[tuple[f
     return jel_thr, ddk_thr
 
 
-def _run_block(config: SimConfig, a_idx: int, n_idx: int, rep_lo: int, rep_hi: int) -> tuple:
-    """Replications ``rep_lo..rep_hi`` of one (a, n) cell, as stacked arrays.
+def _run_block(config: SimConfig, a_idx: int, n_idx: int, rep_lo: int, rep_hi: int) -> np.ndarray:
+    """Tallies of replications ``rep_lo..rep_hi`` of one (a, n) cell.
 
     Each replication keeps its own spawn-keyed generator and one
-    ``random(2n)`` draw, so a row is the sample ``sample()`` would give.
-    The rows are cut into sub-blocks of at most ``_BLOCK_ELEMS`` values; each
-    sub-block gets one ``jackknife_rows``, one ``jel_statistics`` and one
-    ``zstat`` call.
+    ``random(2n)`` draw, so a row is the sample ``sample()`` would give; the
+    rows are drawn, jackknifed and tested as one stack.  Returns one integer
+    row per requested method, in ``_METHOD_ORDER``: rejections per alpha,
+    then excluded, hull violations and the most Newton steps.
     """
     a, n = config.a_grid[a_idx], config.n_grid[n_idx]
     params = FamilyParams(lam=config.params.lam, p1=config.params.p1, a=a, seed=config.params.seed)
-    seed = params.seed
+    u = np.empty((rep_hi - rep_lo, 2 * n))
+    for row, rep in zip(u, range(rep_lo, rep_hi)):
+        rng_from_seed(params.seed, (a_idx, n_idx, rep)).random(out=row)
+    times, causes = draw(params, u)
+    d_hat, pseudo = jackknife_rows(times, causes)
     jel_thr, ddk_thr = _thresholds(config.alpha_grid, config.ddk_two_sided)
-    want_jel = "jel" in config.methods
-    want_ddk = "ddk" in config.methods
-    jel_rej = [0] * len(jel_thr)
-    ddk_rej = [0] * len(ddk_thr)
-    jel_exc = ddk_exc = hull = iters_max = 0
-    step = max(1, _BLOCK_ELEMS // n)
-    for lo in range(rep_lo, rep_hi, step):
-        reps = range(lo, min(lo + step, rep_hi))
-        u = np.empty((len(reps), 2 * n))
-        for row, rep in zip(u, reps):
-            rng_from_seed(seed, (a_idx, n_idx, rep)).random(out=row)
-        times, causes = draw(params, u)
-        d_hat, pseudo = jackknife_rows(times, causes)
-        if want_jel:
-            stat, degenerate, iterations = jel_statistics(pseudo)
-            jel_exc += int(degenerate.sum())
-            hull += int(np.isinf(stat).sum())
-            iters_max = max(iters_max, int(iterations.max()))
-            stat = stat[~degenerate]
-            for k, thr in enumerate(jel_thr):
-                jel_rej[k] += int((stat > thr).sum())
-        if want_ddk:
-            p1_hat = (causes == 1).sum(axis=1) / n
-            observed = (p1_hat > 0.0) & (p1_hat < 1.0)
-            ddk_exc += int((~observed).sum())
-            z = zstat(d_hat[observed], p1_hat[observed], n)
-            if config.ddk_two_sided:
-                z = np.abs(z)
-            for k, thr in enumerate(ddk_thr):
-                ddk_rej[k] += int((z > thr).sum())
-    return (a_idx, n_idx, jel_rej, ddk_rej, jel_exc, ddk_exc, hull, iters_max)
+    tallies = []
+    if "jel" in config.methods:
+        stat, degenerate, iterations = jel_statistics(pseudo)
+        rejections = (stat[~degenerate, None] > jel_thr).sum(axis=0)
+        tallies.append([*rejections, degenerate.sum(), np.isinf(stat).sum(), iterations.max()])
+    if "ddk" in config.methods:
+        p1_hat = (causes == 1).sum(axis=1) / n
+        observed = (p1_hat > 0.0) & (p1_hat < 1.0)
+        z = zstat(d_hat[observed], p1_hat[observed], n)
+        if config.ddk_two_sided:
+            z = np.abs(z)
+        tallies.append([*(z[:, None] > ddk_thr).sum(axis=0), (~observed).sum(), 0, 0])
+    return np.array(tallies, dtype=np.int64)
 
 
 def run(config: SimConfig, workers: int | None = None) -> SimTable:
@@ -200,12 +192,15 @@ def run(config: SimConfig, workers: int | None = None) -> SimTable:
     workers = _resolve_workers(workers)
     lam, p1, seed = config.params.lam, config.params.p1, config.params.seed
 
+    # a task is one stack of at most _BLOCK_ELEMS values; on a pool, cells
+    # are also cut finely enough to keep every worker busy
     chunk = config.reps if workers == 1 else max(50, math.ceil(config.reps / (4 * workers)))
+    steps = [min(chunk, max(1, _BLOCK_ELEMS // n)) for n in config.n_grid]
     tasks = [
-        (config, a_idx, n_idx, lo, min(lo + chunk, config.reps))
+        (config, a_idx, n_idx, lo, min(lo + step, config.reps))
         for a_idx in range(len(config.a_grid))
-        for n_idx in range(len(config.n_grid))
-        for lo in range(0, config.reps, chunk)
+        for n_idx, step in enumerate(steps)
+        for lo in range(0, config.reps, step)
     ]
 
     workers = min(workers, len(tasks))
@@ -219,40 +214,26 @@ def run(config: SimConfig, workers: int | None = None) -> SimTable:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             block_results = list(pool.map(_run_block, *zip(*tasks)))
 
-    n_alpha = len(config.alpha_grid)
-    acc: dict[tuple[int, int], list] = {}
-    for a_idx, n_idx, jr, dr, je, de, hv, it in block_results:
-        slot = acc.setdefault((a_idx, n_idx), [[0] * n_alpha, [0] * n_alpha, 0, 0, 0, 0])
-        slot[0] = [x + y for x, y in zip(slot[0], jr)]
-        slot[1] = [x + y for x, y in zip(slot[1], dr)]
-        slot[2] += je
-        slot[3] += de
-        slot[4] += hv
-        slot[5] = max(slot[5], it)
+    per_cell: dict[tuple[int, int], list[np.ndarray]] = {}
+    for (_, a_idx, n_idx, _, _), tallies in zip(tasks, block_results):
+        per_cell.setdefault((a_idx, n_idx), []).append(tallies)
 
+    methods = [m for m in _METHOD_ORDER if m in config.methods]
     cells: dict[tuple[str, float, int, float], SimCell] = {}
-    for method in (m for m in _METHOD_ORDER if m in config.methods):
-        for a_idx, a in enumerate(config.a_grid):
-            for n_idx, n in enumerate(config.n_grid):
-                jr, dr, je, de, hv, it = acc[(a_idx, n_idx)]
-                if method == "jel":
-                    rej_counts, exc = jr, je
-                else:
-                    rej_counts, exc, hv, it = dr, de, 0, 0
-                used = config.reps - exc
-                for k, alpha in enumerate(config.alpha_grid):
-                    if used > 0:
-                        rate = rej_counts[k] / used
-                        stderr = math.sqrt(rate * (1.0 - rate) / used)
-                    else:
-                        rate = math.nan
-                        stderr = math.nan
-                    cells[(method, a, n, alpha)] = SimCell(
-                        method=method, a=a, n=n, alpha=alpha,
-                        rate=rate, stderr=stderr,
-                        rejections=rej_counts[k], used=used, excluded=exc,
-                        hull_violations=hv, newton_iters_max=it,
-                    )
+    for (a_idx, n_idx), blocks in per_cell.items():
+        a, n = config.a_grid[a_idx], config.n_grid[n_idx]
+        total = np.sum(blocks, axis=0)
+        total[:, -1] = np.max(blocks, axis=0)[:, -1]
+        for method, (*rejections, excluded, hull, iters) in zip(methods, total.tolist()):
+            used = config.reps - excluded
+            for alpha, rej in zip(config.alpha_grid, rejections):
+                rate = rej / used if used else math.nan
+                cells[(method, a, n, alpha)] = SimCell(
+                    method=method, a=a, n=n, alpha=alpha,
+                    rate=rate, stderr=math.sqrt(rate * (1.0 - rate) / used) if used else math.nan,
+                    rejections=rej, used=used, excluded=excluded,
+                    hull_violations=hull, newton_iters_max=iters,
+                )
 
     from . import __version__  # deferred: this module is re-exported by the package root
 
@@ -270,7 +251,7 @@ def run(config: SimConfig, workers: int | None = None) -> SimTable:
         "ddk_two_sided": config.ddk_two_sided,
         "generator": f"{GENERATOR}; {SEED_SCHEME}",
         "workers": workers,
-        "newton_iters_max": max(slot[5] for slot in acc.values()),
+        "newton_iters_max": max(c.newton_iters_max for c in cells.values()),
         "wall_time_s": round(time.perf_counter() - t_start, 3),
     }
     return SimTable(cells=cells, metadata=metadata)

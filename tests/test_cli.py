@@ -73,6 +73,15 @@ def test_unmapped_label_exits_1(tmp_path, capsys):
     assert "unmapped cause label" in capsys.readouterr().err
 
 
+def test_malformed_csv_exits_1(tmp_path, capsys):
+    f = tmp_path / "wide.csv"
+    f.write_text("time,status\n1.0,1\n2.0," + "2" * 200_000 + "\n")
+    code = cli_main(["test", "--input", str(f)] + BASE_TEST_ARGS[3:])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: row 3") and "field limit" in err
+
+
 def test_missing_file_exits_1(capsys):
     code = cli_main(BASE_TEST_ARGS[:2] + ["/nonexistent/nope.csv"] + BASE_TEST_ARGS[3:])
     assert code == 1
@@ -130,6 +139,17 @@ def test_power_json_grid(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert len(payload["cells"]) == 2 * 2 * 2 * 2
     assert payload["metadata"]["reps"] == 120
+
+
+def test_power_rejects_empty_grids(capsys):
+    grids = {"--a-grid": "1.0", "--n-grid": "6", "--alphas": "0.05"}
+    names = {"--a-grid": "a_grid", "--n-grid": "n_grid", "--alphas": "alpha_grid"}
+    for empty, name in names.items():
+        args = ["power", "--p1", "0.5", "--reps", "100", "--seed", "6"]
+        for flag, value in grids.items():
+            args += [flag, "," if flag == empty else value]
+        assert cli_main(args) == 1
+        assert f"error: {name} must be non-empty" in capsys.readouterr().err
 
 
 def test_power_respects_method_choice(capsys):

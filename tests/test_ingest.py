@@ -150,6 +150,19 @@ def test_short_row_is_a_parse_error(tmp_path):
     assert exc.value.row == 3
 
 
+def test_oversized_field_is_a_parse_error(tmp_path):
+    # the csv module refuses fields over its limit (131 072 characters)
+    f = tmp_path / "wide.csv"
+    f.write_text("time,status\n1.0,1\n2.0," + "2" * 200_000 + "\n3.0,1\n")
+    with pytest.raises(ParseError, match="field limit") as exc:
+        ingest(spec_for(f))
+    assert exc.value.row == 3
+    f.write_text("x" * 200_000 + ",status\n1.0,1\n")
+    with pytest.raises(ParseError) as exc:
+        ingest(spec_for(f))
+    assert exc.value.row == 1
+
+
 def test_blank_lines_are_skipped(tmp_path):
     f = tmp_path / "blank.csv"
     f.write_text("time,status\n1.0,1\n\n2.0,2\n\n")

@@ -3,9 +3,11 @@ import math
 import os
 import tracemalloc
 
+import numpy as np
 import pytest
 
 import crtest.jel
+import crtest.mc
 from crtest import (
     DegenerateSample,
     FamilyParams,
@@ -58,6 +60,15 @@ def test_config_validation():
         small_config(methods=())
     with pytest.raises(ValueError):
         small_config(methods=("jel", "nope"))
+    # a repeated grid value would give two cells under one key
+    with pytest.raises(ValueError, match="repeat"):
+        small_config(a_grid=(1.5, 1.5), n_grid=(20, 20))
+    with pytest.raises(ValueError, match="a_grid"):
+        small_config(a_grid=(1.0, 1.5, 1.0))
+    with pytest.raises(ValueError, match="n_grid"):
+        small_config(n_grid=(20, 10, 20))
+    with pytest.raises(ValueError, match="alpha_grid"):
+        small_config(alpha_grid=(0.05, 0.1, 0.05))
 
 
 def test_cell_bookkeeping():
@@ -209,6 +220,11 @@ def test_workers_bounded_by_available_cpus():
     assert _resolve_workers(1) == 1
     with pytest.raises(ValueError):
         _resolve_workers(-1)
+    for value in (1.5, 2.0, "2"):
+        with pytest.raises(ValueError, match="workers must be an integer"):
+            _resolve_workers(value)
+    with pytest.raises(ValueError, match="workers must be an integer"):
+        run(small_config(), workers=1.5)
 
 
 def test_workers_bounded_by_task_count():
@@ -230,7 +246,11 @@ def test_thread_variable_sets_requested_workers(monkeypatch):
 
 
 def replay(cfg, a_idx, n_idx):
-    """One cell recomputed replication by replication through the public API."""
+    """One cell's tallies recomputed replication by replication through the public API.
+
+    One row per method (jel, ddk): rejections per alpha, then excluded, hull
+    violations and the most Newton steps.
+    """
     a, n = cfg.a_grid[a_idx], cfg.n_grid[n_idx]
     params = FamilyParams(lam=cfg.params.lam, p1=cfg.params.p1, a=a, seed=cfg.params.seed)
     jel_thr = [chisq1_quantile(1.0 - al) for al in cfg.alpha_grid]
@@ -255,7 +275,7 @@ def replay(cfg, a_idx, n_idx):
         else:
             for k, thr in enumerate(ddk_thr):
                 ddk_rej[k] += z > thr
-    return (a_idx, n_idx, jel_rej, ddk_rej, jel_exc, ddk_exc, hull, iters_max)
+    return np.array([[*jel_rej, jel_exc, hull, iters_max], [*ddk_rej, ddk_exc, 0, 0]])
 
 
 # p1 = 0.1 at n = 20 has hull violations; p1 = 0.05 at n = 3 has replications
@@ -273,23 +293,22 @@ def test_run_block_counts_equal_public_replay(case):
     cfg = REPLAY_CONFIGS[case]
     for a_idx in range(len(cfg.a_grid)):
         expected = replay(cfg, a_idx, 0)
-        assert _run_block(cfg, a_idx, 0, 0, cfg.reps) == expected
-        # split blocks of a pool run add up to the same counts
+        assert np.array_equal(_run_block(cfg, a_idx, 0, 0, cfg.reps), expected)
+        # split blocks add up to the same counts, and the larger Newton maximum
         lo, hi = _run_block(cfg, a_idx, 0, 0, 150), _run_block(cfg, a_idx, 0, 150, cfg.reps)
-        assert [x + y for x, y in zip(lo[2], hi[2])] == expected[2]
-        assert [x + y for x, y in zip(lo[3], hi[3])] == expected[3]
-        assert (lo[4] + hi[4], lo[5] + hi[5], lo[6] + hi[6]) == expected[4:7]
+        assert np.array_equal((lo + hi)[:, :-1], expected[:, :-1])
+        assert np.array_equal(np.maximum(lo, hi)[:, -1], expected[:, -1])
     if case == "hull":
-        assert expected[6] > 0
+        assert expected[0, -2] > 0
     else:
-        assert expected[4] > 0 and expected[5] > 0
+        assert expected[0, -3] > 0 and expected[1, -3] > 0
 
 
 def test_hull_violations_equal_replayed_infinite_statistics():
     cfg = REPLAY_CONFIGS["hull"]
     table = run(cfg, workers=1)
     for a_idx, a in enumerate(cfg.a_grid):
-        hull, iters_max = replay(cfg, a_idx, 0)[6:]
+        hull, iters_max = replay(cfg, a_idx, 0)[0, -2:]
         assert hull > 0
         for alpha in cfg.alpha_grid:
             assert table.get("jel", a, 20, alpha).hull_violations == hull
@@ -308,15 +327,15 @@ def test_no_convergence_surfaces_from_harness(monkeypatch):
         run(small_config(n_grid=(20,)), workers=1)
 
 
-def test_run_block_memory_is_bounded_by_sub_block():
-    # one block holds every replication, as at workers=1; the stacked arrays
-    # are cut into sub-blocks, so the peak follows _BLOCK_ELEMS, not reps * n
+def test_run_memory_is_bounded_by_block_elems():
+    # at workers=1 a cell of reps * n values is cut into tasks of at most
+    # _BLOCK_ELEMS values, so the peak follows _BLOCK_ELEMS, not reps * n
     reps, n = 2000, 400
     cfg = small_config(n_grid=(n,), reps=reps)
-    _run_block(cfg, 0, 0, 0, 1)  # warm up lazy imports and caches
+    run(small_config(n_grid=(n,)), workers=1)  # warm up lazy imports and caches
     tracemalloc.start()
     try:
-        _run_block(cfg, 0, 0, 0, reps)
+        run(cfg, workers=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -324,3 +343,28 @@ def test_run_block_memory_is_bounded_by_sub_block():
     assert peak < bound
     # two float64 copies of the whole stack would already exceed the bound
     assert bound < 16 * reps * n
+
+
+def test_cells_do_not_depend_on_task_size(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    cfg = small_config(params=FamilyParams(lam=1.0, p1=0.1, a=1.0, seed=8), n_grid=(5, 20),
+                       a_grid=(1.0, 1.5), alpha_grid=(0.01, 0.05), reps=300)
+    default = run(cfg, workers=1)
+    assert default.metadata["newton_iters_max"] > 0
+    monkeypatch.setattr(crtest.mc, "_BLOCK_ELEMS", 64)
+    stacks = []
+
+    def counting_block(config, a_idx, n_idx, rep_lo, rep_hi):
+        stacks.append((rep_hi - rep_lo) * config.n_grid[n_idx])
+        return _run_block(config, a_idx, n_idx, rep_lo, rep_hi)
+
+    monkeypatch.setattr(crtest.mc, "_run_block", counting_block)
+    small = run(cfg, workers=1)
+    # every cell spans many tasks, none holding more than _BLOCK_ELEMS values
+    assert len(stacks) == 2 * (300 // 12 + 300 // 3) and max(stacks) <= 64
+    # the pool looks _run_block up by name in its workers
+    monkeypatch.setattr(crtest.mc, "_run_block", _run_block)
+    pooled = run(cfg, workers=2)
+    assert small.cells == default.cells == pooled.cells
+    assert small.metadata["newton_iters_max"] == pooled.metadata["newton_iters_max"] \
+        == default.metadata["newton_iters_max"]
