@@ -59,6 +59,84 @@ def rng_from_seed(seed: int, spawn_key: tuple[int, ...] = ()) -> np.random.Gener
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=spawn_key))
 
 
+# numpy's SeedSequence hash constants and PCG64's 128-bit multiplier, frozen
+# by numpy's stream-compatibility policy (NEP 19)
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _words(x: int) -> list[int]:
+    """32-bit words of a nonnegative integer, least significant first, as
+    ``SeedSequence`` splits its entropy."""
+    x = int(x)
+    if x < 0:
+        raise ValueError(f"seed words must be nonnegative, got {x!r}")
+    return [x >> s & _MASK32 for s in range(0, max(x.bit_length(), 1), 32)]
+
+
+def _hashmix(value, const: int, mult: int):
+    """One step of ``SeedSequence``'s hash; ``value`` is an int or a uint64 array."""
+    value = value ^ const
+    const = const * mult & _MASK32
+    value = value * const & _MASK32
+    return value ^ value >> 16, const
+
+
+def _mix(x, y):
+    r = (_MIX_L * x - _MIX_R * y) & _MASK32
+    return r ^ r >> 16
+
+
+def uniform_rows(seed: int, key: tuple[int, ...], rep_lo: int, rep_hi: int, width: int) -> np.ndarray:
+    """Uniforms of replications ``rep_lo..rep_hi``, one row of ``width`` each.
+
+    Row i equals ``rng_from_seed(seed, (*key, rep_lo + i)).random(width)``
+    bit for bit.  The seed and ``key`` are hashed once; only the last
+    entropy word, the replication index, is mixed in per row, as one uint64
+    column.  Each row's PCG64 state then follows O'Neill's ``set_seed`` and
+    is loaded into one reused generator.  A replication index of 2**32 or
+    more would take two entropy words and is rejected.
+    """
+    if not 0 <= rep_lo <= rep_hi <= 1 << 32:
+        raise ValueError(f"replications must lie in [0, 2**32), got {rep_lo}..{rep_hi}")
+    run = _words(seed)
+    # with a spawn key, SeedSequence pads the run entropy to its 4-word pool
+    entropy = [*run, *[0] * (4 - len(run)), *(w for k in key for w in _words(k)),
+               np.arange(rep_lo, rep_hi, dtype=np.uint64)]
+    pool, const = [], _INIT_A
+    for word in entropy[:4]:
+        word, const = _hashmix(word, const, _MULT_A)
+        pool.append(word)
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                h, const = _hashmix(pool[src], const, _MULT_A)
+                pool[dst] = _mix(pool[dst], h)
+    for word in entropy[4:]:
+        for dst in range(4):
+            h, const = _hashmix(word, const, _MULT_A)
+            pool[dst] = _mix(pool[dst], h)
+    # generate_state(4, uint64): 8 words, paired little-endian into 64 bits
+    state, const = [], _INIT_B
+    for i in range(8):
+        word, const = _hashmix(pool[i % 4], const, _MULT_B)
+        state.append(word)
+    seed64 = [(state[2 * k] | state[2 * k + 1] << 32).tolist() for k in range(4)]
+
+    out = np.empty((rep_hi - rep_lo, width))
+    bitgen = np.random.PCG64(0)
+    gen = np.random.Generator(bitgen)
+    for row, s_hi, s_lo, q_hi, q_lo in zip(out, *seed64):
+        inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128
+        pcg = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
+        bitgen.state = {"bit_generator": "PCG64", "state": {"state": pcg, "inc": inc},
+                        "has_uint32": 0, "uinteger": 0}
+        gen.random(out=row)
+    return out
+
+
 def baseline_cdf(params: FamilyParams, t):
     return -np.expm1(-params.lam * np.asarray(t, dtype=np.float64))
 

@@ -99,9 +99,15 @@ def _cell(row: list[str], idx: int, row_num: int) -> str:
 
 
 def _records(reader, path: str | Path):
-    """Numbered rows of ``reader``; a malformed record raises :class:`ParseError`."""
+    """Rows of ``reader``, each with the 1-based file line it starts on; a
+    malformed record raises :class:`ParseError`."""
+    start = 1
     try:
-        yield from enumerate(reader, start=1)
+        for row in reader:
+            yield start, row
+            # a quoted field can span lines, so the next record starts after
+            # the last line this one consumed
+            start = reader.line_num + 1
     except csv.Error as exc:
         raise ParseError(reader.line_num, str(path), f"malformed CSV: {exc}") from None
 

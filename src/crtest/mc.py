@@ -7,12 +7,14 @@ never changes the draws.  Replication streams are keyed by
 which makes results identical regardless of execution schedule or worker
 count; reduction is over integer rejection counts only.
 
-Each task works on one stack: each replication's generator draws its
-uniforms into one row of an R-by-2n array, and the task's samples are
-scored, jackknifed and tested together (``ustat.jackknife_rows``,
-``jel.jel_statistics``, ``ddk.zstat``).  A task holds at most
-``_BLOCK_ELEMS`` values, so memory does not grow with the replication
-count.  Every row gives the same numbers as the single-sample API.
+Each task works on one stack: ``datagen.uniform_rows`` seeds all of the
+task's replications at once and fills one row of an R-by-2n array per
+replication, with the uniforms that replication's own spawn-keyed
+generator would draw; the task's samples are then scored, jackknifed and
+tested together (``ustat.jackknife_rows``, ``jel.jel_statistics``,
+``ddk.zstat``).  A task holds at most ``_BLOCK_ELEMS`` values, so memory
+does not grow with the replication count.  Every row gives the same
+numbers as the single-sample API.
 
 Replications where a method's statistic is undefined (every pseudo-value
 zero for the empirical-likelihood test, a single observed cause for the
@@ -35,7 +37,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .datagen import GENERATOR, SEED_SCHEME, FamilyParams, draw, rng_from_seed
+from .datagen import GENERATOR, SEED_SCHEME, FamilyParams, draw, uniform_rows
 from .ddk import zstat
 from .jel import jel_statistics
 from .specialfn import chisq1_quantile, normal_quantile
@@ -87,8 +89,9 @@ class SimConfig:
         for a in self.a_grid:
             # reuse the family's own range check
             FamilyParams(lam=self.params.lam, p1=self.params.p1, a=a, seed=self.params.seed)
-        if not isinstance(self.reps, (int, np.integer)) or self.reps < 100:
-            raise ValueError(f"reps must be an integer >= 100, got {self.reps!r}")
+        # a replication index is one 32-bit spawn-key word (see uniform_rows)
+        if not isinstance(self.reps, (int, np.integer)) or not 100 <= self.reps <= 1 << 32:
+            raise ValueError(f"reps must be an integer in [100, 2**32], got {self.reps!r}")
         if not self.methods or any(m not in _METHOD_ORDER for m in self.methods):
             raise ValueError(f"methods must be a non-empty subset of {_METHOD_ORDER}")
 
@@ -156,18 +159,17 @@ def _thresholds(alpha_grid: tuple[float, ...], two_sided: bool) -> tuple[tuple[f
 def _run_block(config: SimConfig, a_idx: int, n_idx: int, rep_lo: int, rep_hi: int) -> np.ndarray:
     """Tallies of replications ``rep_lo..rep_hi`` of one (a, n) cell.
 
-    Each replication keeps its own spawn-keyed generator and one
-    ``random(2n)`` draw, so a row is the sample ``sample()`` would give; the
-    rows are drawn, jackknifed and tested as one stack.  Returns one integer
-    row per requested method, in ``_METHOD_ORDER``: rejections per alpha,
-    then excluded, hull violations and the most Newton steps.
+    Row i holds the ``random(2n)`` draw of replication ``rep_lo + i``'s
+    spawn-keyed generator, computed for the whole task at once by
+    :func:`~crtest.datagen.uniform_rows`, so a row is the sample
+    ``sample()`` would give; the rows are jackknifed and tested as one
+    stack.  Returns one integer row per requested method, in
+    ``_METHOD_ORDER``: rejections per alpha, then excluded, hull violations
+    and the most Newton steps.
     """
     a, n = config.a_grid[a_idx], config.n_grid[n_idx]
     params = FamilyParams(lam=config.params.lam, p1=config.params.p1, a=a, seed=config.params.seed)
-    u = np.empty((rep_hi - rep_lo, 2 * n))
-    for row, rep in zip(u, range(rep_lo, rep_hi)):
-        rng_from_seed(params.seed, (a_idx, n_idx, rep)).random(out=row)
-    times, causes = draw(params, u)
+    times, causes = draw(params, uniform_rows(params.seed, (a_idx, n_idx), rep_lo, rep_hi, 2 * n))
     d_hat, pseudo = jackknife_rows(times, causes)
     jel_thr, ddk_thr = _thresholds(config.alpha_grid, config.ddk_two_sided)
     tallies = []

@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 
 from crtest import FamilyParams, rng_from_seed, sample, true_delta
-from crtest.datagen import baseline_cdf, cause1_probability, draw, sub_distribution_cause1
+from crtest.datagen import (
+    baseline_cdf,
+    cause1_probability,
+    draw,
+    sub_distribution_cause1,
+    uniform_rows,
+)
 
 from oracles import closed_form_delta
 
@@ -63,6 +69,23 @@ def test_stacked_draw_rows_equal_sample(n):
         s = sample(p, n, rng=rng_from_seed(4, (0, 1, rep)))
         assert s.times.tobytes() == times[rep].tobytes()
         assert np.array_equal(s.causes, causes[rep])
+
+
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 3, 2**128 + 1])
+def test_uniform_rows_equal_rng_from_seed(seed):
+    # seeds of one to five 32-bit words, keys with a word at its top value and
+    # replication indices up to the last one-word index, 2**32 - 1
+    for key in [(0, 0), (1, 2), (2**32 - 1, 1)]:
+        for rep_lo, rep_hi in [(0, 7), (2**32 - 5, 2**32)]:
+            for n in (3, 20, 101):
+                u = uniform_rows(seed, key, rep_lo, rep_hi, 2 * n)
+                assert u.shape == (rep_hi - rep_lo, 2 * n)
+                for row, rep in zip(u, range(rep_lo, rep_hi)):
+                    expected = rng_from_seed(seed, (*key, rep)).random(2 * n)
+                    assert row.tobytes() == expected.tobytes()
+    # an index of 2**32 takes two entropy words, so it is refused, not re-streamed
+    with pytest.raises(ValueError):
+        uniform_rows(seed, (0, 0), 2**32 - 1, 2**32 + 1, 6)
 
 
 def test_sample_values_are_valid():

@@ -150,6 +150,16 @@ def test_short_row_is_a_parse_error(tmp_path):
     assert exc.value.row == 3
 
 
+@pytest.mark.parametrize("eol", ["\n", "\r\n"])
+def test_error_row_is_the_file_line_after_a_multiline_field(tmp_path, eol):
+    # the quoted note spans file lines 2-3, so the bad time is on line 4
+    f = tmp_path / "multi.csv"
+    f.write_bytes(eol.join(["time,status,note", '1.0,1,"two', 'lines"', "abc,2,x", ""]).encode())
+    with pytest.raises(ParseError, match="row 4") as exc:
+        ingest(spec_for(f))
+    assert exc.value.row == 4
+
+
 def test_oversized_field_is_a_parse_error(tmp_path):
     # the csv module refuses fields over its limit (131 072 characters)
     f = tmp_path / "wide.csv"

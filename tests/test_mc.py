@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -6,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import crtest.datagen
 import crtest.jel
 import crtest.mc
 from crtest import (
@@ -50,6 +52,9 @@ def test_config_validation():
         small_config(n_grid=(10, 20.7))
     with pytest.raises(ValueError):
         small_config(reps=150.0)
+    # a replication index must fit one 32-bit spawn-key word
+    with pytest.raises(ValueError):
+        small_config(reps=2**32 + 1)
     with pytest.raises(ValueError):
         small_config(alpha_grid=(0.0,))
     with pytest.raises(ValueError):
@@ -86,6 +91,28 @@ def test_run_is_deterministic():
     t1 = run(small_config(), workers=1)
     t2 = run(small_config(), workers=1)
     assert t1.cells == t2.cells
+
+
+def test_harness_builds_no_generator_per_replication(monkeypatch):
+    cfg = small_config(reps=500)
+    expected = run(cfg, workers=1)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the harness built a per-replication generator")
+
+    monkeypatch.setattr(crtest.datagen, "rng_from_seed", refuse)
+    monkeypatch.setattr(np.random, "SeedSequence", refuse)
+    assert run(cfg, workers=1).cells == expected.cells
+
+
+def test_harness_table_is_pinned():
+    # digest taken when every replication built its own SeedSequence and
+    # generator; a seeding change that moved rng_from_seed and the harness
+    # together would still change it
+    cfg = SimConfig(params=FamilyParams(lam=1.0, p1=0.3, a=1.0, seed=7), n_grid=(10, 25),
+                    alpha_grid=(0.01, 0.05), a_grid=(1.5,), reps=300)
+    digest = hashlib.sha256(to_csv(run(cfg, workers=1)).encode()).hexdigest()
+    assert digest == "5388a20627c404a9dc656fcc695be84b6d19ea79d30e36a34394b7b372857348"
 
 
 def test_workers_do_not_change_results(monkeypatch):
