@@ -14,10 +14,13 @@ leave-one-out pseudo-values for the empirical-likelihood test in
 counts of ``row_scores``.
 
 ``row_scores`` and ``jackknife_rows`` also take (R, n) stacks of R samples
-and score them row by row in one pass; the Monte Carlo harness
-(:mod:`crtest.mc`) uses them on whole blocks of replications, and the
-single-sample functions are their R = 1 case, so every caller shares one
-pair-score routine with bit-identical results.
+and score them row by row in one flat pass over the whole stack; the Monte
+Carlo harness (:mod:`crtest.mc`) uses them on whole blocks of replications,
+and the single-sample functions are their R = 1 case, so every caller shares
+one pair-score routine with bit-identical results.  A subject's score
+depends only on its tie group (the subjects of its row with an equal time)
+and its own cause, so the order a sort leaves within a tie group cannot
+change any result, and an unstable sort is as exact as a stable one.
 """
 
 from __future__ import annotations
@@ -62,48 +65,57 @@ def row_scores(times: np.ndarray, causes: np.ndarray) -> np.ndarray:
     and -1/2 per one failing strictly later; cause 2 is the mirror image, and
     ties score 0 (the sort-based counting of Knight, 1966).  ``times`` and
     ``causes`` are (n,) arrays or (R, n) stacks of R samples scored row by
-    row; a 1-D call is the R = 1 case.  Each row is sorted once (stable), and
-    the partners before and after each subject's tie group are counted with
-    integer cumulative sums.
+    row; a 1-D call is the R = 1 case.  Each row is sorted once and the stack
+    is then handled as one flat array of tie groups, which never cross a row
+    start.  Twice a score is an integer count of the partners before and
+    after the subject's tie group, so it is the same for every order within
+    that group: the sort need not be stable, and zero scores are +0.0.
     """
     t = np.atleast_2d(np.asarray(times, dtype=np.float64))
     r, n = t.shape
-    order = np.argsort(t, axis=1, kind="stable")
-    sorted_at = (np.arange(r)[:, None], order)
-    # starts[:, k]: sorted position k opens a tie group; k = n closes the last
-    starts = np.ones((r, n + 1), dtype=bool)
-    ts = t[sorted_at]
-    np.not_equal(ts[:, 1:], ts[:, :-1], out=starts[:, 1:n])
+    m = r * n
+    if m == 0:
+        return np.empty(np.shape(times))
+    order = np.argsort(t, axis=1)
+    order += np.arange(0, m, n)[:, None]
+    order = order.ravel()  # sorted position -> flat index, row by row
+    ts = t.ravel()[order]
+    # starts[k]: sorted position k opens a tie group; every row start does,
+    # and k = m closes the last group
+    starts = np.empty(m + 1, dtype=bool)
+    np.not_equal(ts[1:], ts[:-1], out=starts[1:m])
     del ts
-
-    def at_group_edges(cum: np.ndarray) -> np.ndarray:
-        # cum[first] + cum[end] for each sorted position's tie group
-        # [first, end); cum is nondecreasing along each row
-        edges = np.where(starts[:, :n], cum[:, :n], 0)
-        np.maximum.accumulate(edges, axis=1, out=edges)
-        after = np.where(starts[:, :0:-1], cum[:, :0:-1], cum[:, n:])
-        np.minimum.accumulate(after, axis=1, out=after)
-        edges += after[:, ::-1]
-        return edges
-
-    both = at_group_edges(np.arange(n + 1)[None, :])
-    is1 = np.atleast_2d(causes)[sorted_at] == 1
-    cum1 = np.zeros((r, n + 1), dtype=np.int64)  # cause-1 among the first k
-    np.cumsum(is1, axis=1, out=cum1[:, 1:])
-    total1 = cum1[:, n:].copy()
-    ones = at_group_edges(cum1)
-    del cum1, starts
-    # (strictly earlier) - (strictly later) partners of the other cause,
-    # signed as integers so that zero scores stay +0.0
-    both -= ones
-    both -= n - total1
-    ones -= total1
-    np.negative(ones, out=ones)
-    np.copyto(both, ones, where=~is1)
-    del ones, is1
-    out = np.empty((r, n), dtype=np.float64)
-    out[sorted_at] = 0.5 * both
-    return out[0] if np.ndim(times) == 1 else out
+    starts[::n] = True
+    bounds = np.flatnonzero(starts)  # each group is [bounds[j], bounds[j + 1])
+    del starts
+    is1 = np.reshape(causes, m)[order] == 1
+    cum1 = np.zeros(m + 1, dtype=np.int64)  # cause-1 among the first k
+    np.cumsum(is1, out=cum1[1:])
+    sizes = np.diff(bounds)
+    # per group: cum1 at its first + end position, and first + end itself
+    edges1 = cum1[bounds]
+    edges1[:-1] += edges1[1:]
+    edges1 = np.repeat(edges1[:-1], sizes)
+    bounds[:-1] += bounds[1:]
+    edges = np.repeat(bounds[:-1], sizes)
+    del bounds, sizes
+    # 2 * score, with counts taken within the row [row0, row0 + n):
+    #   cause 2: (cause-1 later) - (cause-1 earlier)
+    #            = cum1[row0] + cum1[row0 + n] - cum1[first] - cum1[end]
+    #   cause 1: (cause-2 earlier) - (cause-2 later)
+    #            = the cause-2 expression + first + end - (2 row0 + n)
+    rows1 = cum1[::n]
+    score = np.repeat(rows1[:-1] + rows1[1:], n)
+    del cum1, rows1
+    score -= edges1
+    del edges1
+    edges -= np.repeat(np.arange(n, 2 * m, 2 * n), n)
+    edges *= is1
+    score += edges
+    del edges, is1
+    out = np.empty(m)
+    out[order] = 0.5 * score
+    return out.reshape(np.shape(times))
 
 
 def delta_hat(sample: Sample) -> float:

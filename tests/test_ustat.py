@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -15,6 +16,8 @@ from crtest import (
     kernel_sym,
     sample,
 )
+from crtest.datagen import draw, uniform_rows
+from crtest.mc import _BLOCK_ELEMS
 from crtest.ustat import jackknife_rows, row_scores
 
 from oracles import dense_row_sums, naive_delta_hat, naive_jackknife, random_tc
@@ -114,6 +117,49 @@ def test_row_scores_stack_equals_row_by_row_bitwise(with_ties):
             assert np.array_equal(np.signbit(one), np.signbit(stacked[i]))
 
 
+def test_row_scores_empty_inputs():
+    for shape in [(0,), (4, 0), (0, 6)]:
+        scores = row_scores(np.zeros(shape), np.ones(shape, dtype=np.int64))
+        assert scores.shape == shape
+        assert scores.dtype == np.float64
+
+
+def test_row_scores_ties_across_row_boundaries_bitwise():
+    # row i takes times in {i, i + 1} with both present, so once the rows are
+    # sorted and laid end to end, a tie run would cross every row start
+    rng = np.random.default_rng(53)
+    for n in (1, 2, 3, 8, 31):
+        times = np.arange(12.0)[:, None] + rng.integers(0, 2, size=(12, n))
+        times[:, 0] = np.arange(12.0)
+        times[:, -1] = np.arange(1.0, 13.0)
+        times[4] = times[5] = 5.0  # all-constant rows, tied across their boundary
+        rng.permuted(times, axis=1, out=times)
+        causes = rng.integers(1, 3, size=(12, n))
+        stacked = row_scores(times, causes)
+        for i in range(12):
+            expected = dense_row_sums(times[i], causes[i])
+            assert row_scores(times[i], causes[i]).tobytes() == stacked[i].tobytes()
+            assert expected.tobytes() == stacked[i].tobytes()
+            assert np.array_equal(np.signbit(expected), np.signbit(stacked[i]))
+    # a whole stack of one constant time scores +0.0 everywhere
+    flat = row_scores(np.full((5, 7), 1.5), rng.integers(1, 3, size=(5, 7)))
+    assert flat.tobytes() == np.zeros((5, 7)).tobytes()
+
+
+def test_row_scores_are_permutation_equivariant_bitwise():
+    # scores depend only on each subject's tie group and cause, which is
+    # what lets the kernel use an unstable sort
+    rng = np.random.default_rng(59)
+    for trial in range(40):
+        n = int(rng.integers(2, 60))
+        times, causes = random_tc(rng, n, with_ties=bool(trial % 4))
+        perm = rng.permutation(n)
+        scores = row_scores(times, causes)
+        permuted = row_scores(times[perm], causes[perm])
+        assert permuted.tobytes() == scores[perm].tobytes()
+        assert np.array_equal(np.signbit(permuted), np.signbit(scores[perm]))
+
+
 @pytest.mark.parametrize("with_ties", [True, False])
 def test_jackknife_rows_equal_jackknife_bitwise(with_ties):
     rng = np.random.default_rng(47 + with_ties)
@@ -138,6 +184,41 @@ def test_jackknife_memory_is_linear_in_n():
     finally:
         tracemalloc.stop()
     assert peak < 64 * n
+
+
+def test_jackknife_rows_memory_is_linear_in_stack_size():
+    # the harness's largest task: one stack of _BLOCK_ELEMS values
+    params = FamilyParams(lam=1.0, p1=0.4, a=1.5, seed=12)
+    for n in (16, 128, 1024):
+        rows = _BLOCK_ELEMS // n
+        assert rows * n == _BLOCK_ELEMS
+        times, causes = draw(params, uniform_rows(params.seed, (0, 0), 0, rows, 2 * n))
+        tracemalloc.start()
+        try:
+            jackknife_rows(times, causes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * rows * n
+
+
+def test_pseudo_values_are_pinned():
+    # SHA-256 of the pseudo-value bytes, taken before the flat rank-count
+    # kernel replaced the per-row stable sort; any change of a bit shows
+    params = FamilyParams(lam=1.0, p1=0.3, a=1.5, seed=7)
+    times, causes = draw(params, uniform_rows(params.seed, (1, 2), 0, 163, 200))
+    pseudo = jackknife_rows(times, causes)[1]
+    assert pseudo.shape == (163, 100)
+    assert hashlib.sha256(pseudo.tobytes()).hexdigest() == (
+        "330a9cca5634a9815088a4b4e9b0964ce2d319b90a9c903f9b6b9a74f67bd495"
+    )
+    rng = np.random.default_rng(59)
+    times = rng.integers(0, 8, size=(40, 30)).astype(float)
+    causes = rng.integers(1, 3, size=(40, 30))
+    pseudo = jackknife_rows(times, causes)[1]
+    assert hashlib.sha256(pseudo.tobytes()).hexdigest() == (
+        "ea76d8c6c4a651daaa23193ce15cca5adffb9de17cb845168bd804d8e04c5456"
+    )
 
 
 def test_jackknife_worked_example():
