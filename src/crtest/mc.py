@@ -187,6 +187,25 @@ def _run_block(config: SimConfig, a_idx: int, n_idx: int, rep_lo: int, rep_hi: i
     return np.array(tallies, dtype=np.int64)
 
 
+def _tasks(config: SimConfig, workers: int) -> list[tuple[SimConfig, int, int, int, int]]:
+    """``_run_block`` arguments covering every cell's replications once.
+
+    A task is one stack of at most ``_BLOCK_ELEMS`` values.  Each task pays a
+    fixed seeding, solver and numpy overhead, so a cell is split further only
+    when the grid has fewer cells than workers; at one worker a cell is one
+    task unless the value cap splits it.
+    """
+    cells = len(config.a_grid) * len(config.n_grid)
+    chunk = max(50, math.ceil(config.reps / math.ceil(workers / cells)))
+    steps = [min(chunk, max(1, _BLOCK_ELEMS // n)) for n in config.n_grid]
+    return [
+        (config, a_idx, n_idx, lo, min(lo + step, config.reps))
+        for a_idx in range(len(config.a_grid))
+        for n_idx, step in enumerate(steps)
+        for lo in range(0, config.reps, step)
+    ]
+
+
 def run(config: SimConfig, workers: int | None = None) -> SimTable:
     """Execute the harness; ``workers`` falls back to CRTEST_THREADS (0 = auto)
     and is capped at the available CPUs and the task count."""
@@ -194,17 +213,7 @@ def run(config: SimConfig, workers: int | None = None) -> SimTable:
     workers = _resolve_workers(workers)
     lam, p1, seed = config.params.lam, config.params.p1, config.params.seed
 
-    # a task is one stack of at most _BLOCK_ELEMS values; on a pool, cells
-    # are also cut finely enough to keep every worker busy
-    chunk = config.reps if workers == 1 else max(50, math.ceil(config.reps / (4 * workers)))
-    steps = [min(chunk, max(1, _BLOCK_ELEMS // n)) for n in config.n_grid]
-    tasks = [
-        (config, a_idx, n_idx, lo, min(lo + step, config.reps))
-        for a_idx in range(len(config.a_grid))
-        for n_idx, step in enumerate(steps)
-        for lo in range(0, config.reps, step)
-    ]
-
+    tasks = _tasks(config, workers)
     workers = min(workers, len(tasks))
     if workers == 1:
         block_results = [_run_block(*t) for t in tasks]
@@ -212,6 +221,11 @@ def run(config: SimConfig, workers: int | None = None) -> SimTable:
         # deferred: the pool machinery costs start-up time and memory that
         # one-worker runs and the other commands never use
         from concurrent.futures import ProcessPoolExecutor
+
+        # numpy loads numpy.random lazily; importing it before the fork lets
+        # forked workers inherit it instead of each importing it in its first
+        # task (spawned or forkserver workers import it themselves)
+        import numpy.random  # noqa: F401
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
             block_results = list(pool.map(_run_block, *zip(*tasks)))

@@ -190,6 +190,17 @@ def test_cli_import_does_not_load_scipy():
 def test_cli_import_does_not_load_process_pool():
     src = str(Path(crtest.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import crtest.cli, sys; assert 'concurrent.futures.process' not in sys.modules"
+    code = ("import crtest.cli, sys; assert 'concurrent.futures.process' not in sys.modules; "
+            "assert 'numpy.random' not in sys.modules")
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_module_entry_point_runs_the_cli():
+    src = str(Path(crtest.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    entry = [sys.executable, "-m", "crtest.cli"]
+    proc = subprocess.run([*entry, "--version"], env=env, capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (0, f"crtest {crtest.__version__}\n"), proc.stderr
+    proc = subprocess.run([*entry, "test"], env=env, capture_output=True, text=True)
+    assert proc.returncode == 2 and "usage: crtest test" in proc.stderr

@@ -1,8 +1,12 @@
 import hashlib
 import json
 import math
+import multiprocessing
 import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +30,7 @@ from crtest import (
     to_csv,
     to_json,
 )
-from crtest.mc import _BLOCK_ELEMS, _resolve_workers, _run_block
+from crtest.mc import _BLOCK_ELEMS, _resolve_workers, _run_block, _tasks
 
 
 def small_config(**overrides):
@@ -395,3 +399,80 @@ def test_cells_do_not_depend_on_task_size(monkeypatch):
     assert small.cells == default.cells == pooled.cells
     assert small.metadata["newton_iters_max"] == pooled.metadata["newton_iters_max"] \
         == default.metadata["newton_iters_max"]
+
+
+def serial_partition(cfg):
+    """One-worker tasks as ``(a_idx, n_idx, lo, hi)``: each cell in stacks of at
+    most ``_BLOCK_ELEMS`` values, otherwise whole."""
+    out = []
+    for a_idx in range(len(cfg.a_grid)):
+        for n_idx, n in enumerate(cfg.n_grid):
+            step = min(cfg.reps, max(1, _BLOCK_ELEMS // n))
+            out += [(a_idx, n_idx, lo, min(lo + step, cfg.reps)) for lo in range(0, cfg.reps, step)]
+    return out
+
+
+def check_cover(cfg, tasks):
+    covered = {}
+    for config, a_idx, n_idx, lo, hi in tasks:
+        assert config is cfg and lo < hi
+        assert (hi - lo) * cfg.n_grid[n_idx] <= _BLOCK_ELEMS
+        covered.setdefault((a_idx, n_idx), []).extend(range(lo, hi))
+    assert len(covered) == len(cfg.a_grid) * len(cfg.n_grid)
+    assert all(reps == list(range(cfg.reps)) for reps in covered.values())
+
+
+POOL_GRID = small_config(params=FamilyParams(lam=1.0, p1=0.1, a=1.0, seed=1), n_grid=(20, 50, 200),
+                         a_grid=(1.0, 2.0), alpha_grid=(0.01, 0.05), reps=250)
+
+
+@pytest.mark.parametrize("cfg", [
+    small_config(),
+    small_config(reps=5000, n_grid=(3, 40, 1000), a_grid=(1.0, 1.5)),
+    POOL_GRID,
+], ids=["one-cell", "capped", "pool-grid"])
+def test_one_worker_tasks_are_whole_cells_under_the_value_cap(cfg):
+    tasks = _tasks(cfg, 1)
+    assert [t[1:] for t in tasks] == serial_partition(cfg)
+    check_cover(cfg, tasks)
+
+
+def test_pool_splits_cells_only_when_workers_outnumber_them():
+    # six cells: every worker count up to six gives the serial tasks
+    serial = _tasks(POOL_GRID, 1)
+    assert len(serial) == 12
+    for workers in (2, 4):
+        assert _tasks(POOL_GRID, workers) == serial
+    one_cell = small_config(reps=200)
+    halves = _tasks(one_cell, 2)
+    assert [t[3:] for t in halves] == [(0, 100), (100, 200)]
+    check_cover(one_cell, halves)
+    for cfg, workers in ((one_cell, 8), (POOL_GRID, 64), (small_config(reps=4096, n_grid=(500,)), 3)):
+        check_cover(cfg, _tasks(cfg, workers))
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="workers inherit the parent's imports only when forked")
+def test_pool_workers_start_with_numpy_random_loaded():
+    src = str(Path(crtest.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "\n".join([
+        "import os, sys",
+        "os.sched_getaffinity = lambda pid: {0, 1}",
+        "import crtest.mc",
+        "from crtest import FamilyParams, SimConfig, run",
+        "assert 'numpy.random' not in sys.modules",
+        "run_block = crtest.mc._run_block",
+        "def cold_guard(*args):",
+        "    if 'numpy.random' not in sys.modules:",
+        "        raise RuntimeError('worker task started without numpy.random loaded')",
+        "    return run_block(*args)",
+        # the pool pickles _run_block by name, so the workers find the guard
+        "cold_guard.__module__, cold_guard.__qualname__ = 'crtest.mc', '_run_block'",
+        "crtest.mc._run_block = cold_guard",
+        "cfg = SimConfig(params=FamilyParams(lam=1.0, p1=0.4, a=1.0, seed=3), n_grid=(10, 20),",
+        "                alpha_grid=(0.05,), a_grid=(1.0,), reps=100)",
+        "assert run(cfg, workers=2).metadata['workers'] == 2",
+    ])
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
