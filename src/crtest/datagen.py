@@ -46,7 +46,8 @@ class FamilyParams:
             raise ValueError(f"p1 must be in [0, 0.5], got {self.p1!r}")
         if not 1.0 <= self.a <= 2.0:
             raise ValueError(f"a must be in [1, 2], got {self.a!r}")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+        if (isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer))
+                or self.seed < 0):
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
 
 

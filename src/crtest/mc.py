@@ -24,6 +24,13 @@ where 0 lies outside the pseudo-value hull get an infinite ``jel`` statistic,
 count as rejections, and are tallied in ``SimCell.hull_violations``;
 ``newton_iters_max`` is the most Newton steps any of the cell's ``jel``
 solves took.
+
+Runs on more than one worker share one process pool per process, started
+by the first such run and reused until the interpreter exits, a run asks
+for a different worker count, or a run fails; a failed run takes its pool
+down with it and the next run starts a fresh one.  Workers keep the module
+state they started with, so patching ``crtest`` after the first pooled run
+does not reach them.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import threading
 import time
 from dataclasses import dataclass
 from functools import lru_cache
@@ -50,6 +58,11 @@ SCHEMA_VERSION = 2
 _BLOCK_ELEMS = 1 << 14
 
 _METHOD_ORDER = ("jel", "ddk")
+
+# (pid that started it, worker count, executor) of the pool that pooled runs
+# reuse, or None; read and replaced only under _POOL_LOCK
+_POOL = None
+_POOL_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -134,7 +147,7 @@ def _resolve_workers(workers: int | None) -> int:
             workers = int(env) if env else 0
         except ValueError:
             raise ValueError(f"CRTEST_THREADS must be an integer, got {env!r}") from None
-    elif not isinstance(workers, (int, np.integer)):
+    elif isinstance(workers, bool) or not isinstance(workers, (int, np.integer)):
         raise ValueError(f"workers must be an integer, got {workers!r}")
     if workers < 0:
         raise ValueError(f"workers must be >= 0, got {workers!r}")
@@ -206,9 +219,47 @@ def _tasks(config: SimConfig, workers: int) -> list[tuple[SimConfig, int, int, i
     ]
 
 
+def _drop_pool() -> None:
+    """Forget the pool, shutting it down if this process started it; a pool
+    inherited across ``fork`` belongs to the parent and is left alone."""
+    global _POOL
+    if _POOL is not None and _POOL[0] == os.getpid():
+        _POOL[2].shutdown(cancel_futures=True)
+    _POOL = None
+
+
+def _pool(workers: int):
+    """This process's pool of ``workers`` workers, started on first use.
+
+    Call with ``_POOL_LOCK`` held.
+    """
+    global _POOL
+    if _POOL is not None and _POOL[:2] == (os.getpid(), workers):
+        return _POOL[2]
+    _drop_pool()
+    # deferred: the pool machinery costs start-up time and memory that
+    # one-worker runs and the other commands never use
+    from concurrent.futures import ProcessPoolExecutor
+
+    # numpy loads numpy.random lazily; importing it before the fork lets
+    # forked workers inherit it instead of each importing it in its first
+    # task (spawned or forkserver workers import it themselves)
+    import numpy.random  # noqa: F401
+
+    _POOL = (os.getpid(), workers, ProcessPoolExecutor(max_workers=workers))
+    return _POOL[2]
+
+
 def run(config: SimConfig, workers: int | None = None) -> SimTable:
     """Execute the harness; ``workers`` falls back to CRTEST_THREADS (0 = auto)
-    and is capped at the available CPUs and the task count."""
+    and is capped at the available CPUs and the task count.
+
+    More than one worker runs the tasks on this process's shared pool (see
+    the module docstring): it outlives the call, until interpreter exit, a
+    run with another worker count, or an error.  Any exception from the pool,
+    a killed worker's ``BrokenProcessPool`` included, fails this call only
+    and drops the pool; the next call starts a fresh one.
+    """
     t_start = time.perf_counter()
     workers = _resolve_workers(workers)
     lam, p1, seed = config.params.lam, config.params.p1, config.params.seed
@@ -218,17 +269,12 @@ def run(config: SimConfig, workers: int | None = None) -> SimTable:
     if workers == 1:
         block_results = [_run_block(*t) for t in tasks]
     else:
-        # deferred: the pool machinery costs start-up time and memory that
-        # one-worker runs and the other commands never use
-        from concurrent.futures import ProcessPoolExecutor
-
-        # numpy loads numpy.random lazily; importing it before the fork lets
-        # forked workers inherit it instead of each importing it in its first
-        # task (spawned or forkserver workers import it themselves)
-        import numpy.random  # noqa: F401
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            block_results = list(pool.map(_run_block, *zip(*tasks)))
+        with _POOL_LOCK:
+            try:
+                block_results = list(_pool(workers).map(_run_block, *zip(*tasks)))
+            except BaseException:
+                _drop_pool()
+                raise
 
     per_cell: dict[tuple[int, int], list[np.ndarray]] = {}
     for (_, a_idx, n_idx, _, _), tallies in zip(tasks, block_results):

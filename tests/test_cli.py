@@ -190,10 +190,12 @@ def test_cli_import_does_not_load_scipy():
 def test_cli_import_does_not_load_process_pool():
     src = str(Path(crtest.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    code = ("import crtest.cli, sys; assert 'concurrent.futures.process' not in sys.modules; "
-            "assert 'numpy.random' not in sys.modules")
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
+    for module in ("crtest", "crtest.cli"):
+        code = (f"import {module}, sys; "
+                "loaded = [m for m in sys.modules if m.startswith('concurrent.futures')]; "
+                "assert not loaded, loaded; assert 'numpy.random' not in sys.modules")
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, (module, proc.stderr)
 
 
 def test_module_entry_point_runs_the_cli():

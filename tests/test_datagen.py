@@ -33,6 +33,10 @@ def test_params_validation():
         FamilyParams(lam=1.0, p1=0.3, a=2.01)
     with pytest.raises(ValueError):
         FamilyParams(lam=1.0, p1=0.3, a=1.5, seed=-1)
+    # a bool is an int to isinstance, and would be written as true/false
+    for flag in (True, False):
+        with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+            FamilyParams(lam=1.0, p1=0.3, a=1.5, seed=flag)
 
 
 def test_sample_reproducible_from_seed():

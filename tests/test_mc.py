@@ -3,9 +3,15 @@ import json
 import math
 import multiprocessing
 import os
+import pickle
+import select
+import signal
 import subprocess
 import sys
+import time
 import tracemalloc
+import traceback
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -251,11 +257,13 @@ def test_workers_bounded_by_available_cpus():
     assert _resolve_workers(1) == 1
     with pytest.raises(ValueError):
         _resolve_workers(-1)
-    for value in (1.5, 2.0, "2"):
+    # False would otherwise mean every CPU, and True would be recorded as true
+    for value in (1.5, 2.0, "2", True, False):
         with pytest.raises(ValueError, match="workers must be an integer"):
             _resolve_workers(value)
-    with pytest.raises(ValueError, match="workers must be an integer"):
-        run(small_config(), workers=1.5)
+    for value in (1.5, True):
+        with pytest.raises(ValueError, match="workers must be an integer"):
+            run(small_config(), workers=value)
 
 
 def test_workers_bounded_by_task_count():
@@ -476,3 +484,124 @@ def test_pool_workers_start_with_numpy_random_loaded():
     ])
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+needs_fork = pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                                reason="the pool tests read the workers of a forked pool")
+
+
+def live_pool():
+    """The live pool's executor and its worker processes by pid."""
+    pid, _, pool = crtest.mc._POOL
+    assert pid == os.getpid()
+    return pool, dict(pool._processes)
+
+
+@needs_fork
+def test_pooled_runs_reuse_one_pool(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    first = run(POOL_GRID, workers=2)
+    pool, workers = live_pool()
+    assert len(workers) == 2
+    assert run(POOL_GRID, workers=2).cells == first.cells
+    assert live_pool() == (pool, workers)
+
+
+@needs_fork
+def test_new_worker_count_replaces_the_pool(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    serial = run(POOL_GRID, workers=1)
+    assert run(POOL_GRID, workers=3).cells == serial.cells
+    old, old_workers = live_pool()
+    assert len(old_workers) == 3
+    assert run(POOL_GRID, workers=2).cells == serial.cells
+    pool, workers = live_pool()
+    assert pool is not old and len(workers) == 2
+    for proc in old_workers.values():
+        proc.join(timeout=30)
+        assert not proc.is_alive()
+
+
+@needs_fork
+def test_no_convergence_on_the_pool_fails_one_run_and_drops_the_pool(monkeypatch):
+    cfg = small_config(n_grid=(20,), reps=200)
+    # the pool is started after the patch, so its workers see the patched limit
+    monkeypatch.setattr(crtest.jel, "_MAX_ITER", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    crtest.mc._drop_pool()
+    with pytest.raises(NoConvergence):
+        run(cfg, workers=2)
+    assert crtest.mc._POOL is None
+    monkeypatch.undo()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert run(cfg, workers=2).cells == run(cfg, workers=1).cells
+
+
+@needs_fork
+def test_forked_child_forks_its_own_pool(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    parent = run(POOL_GRID, workers=2)
+    pool, workers = live_pool()
+    read_fd, write_fd = os.pipe()
+    child = os.fork()
+    if child == 0:  # never return into the test runner
+        status = 1
+        try:
+            os.close(read_fd)
+            table = run(POOL_GRID, workers=2)
+            own = crtest.mc._POOL[0] == os.getpid() and crtest.mc._POOL[2] is not pool
+            # os._exit skips the exit hook that stops the workers
+            crtest.mc._drop_pool()
+            with os.fdopen(write_fd, "wb") as out:
+                pickle.dump((own, table.cells), out)
+            status = 0
+        except BaseException:
+            traceback.print_exc()
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    with os.fdopen(read_fd, "rb") as inp:
+        if not select.select([inp], [], [], 120)[0]:
+            os.kill(child, signal.SIGKILL)
+        payload = inp.read()
+    assert os.waitpid(child, 0)[1] == 0
+    own, cells = pickle.loads(payload)
+    assert own and cells == parent.cells
+    # the child left the parent's pool alone
+    assert live_pool() == (pool, workers)
+    assert run(POOL_GRID, workers=2).cells == parent.cells
+
+
+@needs_fork
+def test_killed_worker_fails_one_run_and_the_next_forks_a_new_pool(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    serial = run(POOL_GRID, workers=1)
+    run(POOL_GRID, workers=2)
+    pool, _ = live_pool()
+    os.kill(pool.submit(os.getpid).result(timeout=60), signal.SIGKILL)
+    # wait until the pool has seen the death, so the next run cannot finish
+    # every task on the surviving worker first
+    deadline = time.monotonic() + 60
+    while not pool._broken and time.monotonic() < deadline:
+        time.sleep(0.01)
+    with pytest.raises(BrokenProcessPool):
+        run(POOL_GRID, workers=2)
+    assert crtest.mc._POOL is None
+    assert run(POOL_GRID, workers=2).cells == serial.cells
+    assert live_pool()[0] is not pool
+
+
+def test_interpreter_with_a_live_pool_exits_cleanly():
+    src = str(Path(crtest.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "\n".join([
+        "import os",
+        "os.sched_getaffinity = lambda pid: {0, 1}",
+        "from crtest import FamilyParams, SimConfig, run",
+        "cfg = SimConfig(params=FamilyParams(lam=1.0, p1=0.4, a=1.0, seed=3), n_grid=(10, 20),",
+        "                alpha_grid=(0.05,), a_grid=(1.0,), reps=100)",
+        "assert run(cfg, workers=2).metadata['workers'] == 2",
+    ])
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
