@@ -28,9 +28,14 @@ solves took.
 Runs on more than one worker share one process pool per process, started
 by the first such run and reused until the interpreter exits, a run asks
 for a different worker count, or a run fails; a failed run takes its pool
-down with it and the next run starts a fresh one.  Workers keep the module
-state they started with, so patching ``crtest`` after the first pooled run
-does not reach them.
+down with it and the next run starts a fresh one.  This pays off in a
+process that makes several runs, as a study over several ``FamilyParams``
+does: one ``run`` per setting.  Between runs the workers sit idle, and
+pooled runs from several threads take turns on the one pool.  Workers keep
+the module state they started with, so patching ``crtest`` after the first
+pooled run does not reach them.  A child forked from a process with a live
+pool starts its own pool; the fork is one of a multi-threaded process, as
+the pool keeps two threads in the parent.
 """
 
 from __future__ import annotations
@@ -59,10 +64,27 @@ _BLOCK_ELEMS = 1 << 14
 
 _METHOD_ORDER = ("jel", "ddk")
 
-# (pid that started it, worker count, executor) of the pool that pooled runs
-# reuse, or None; read and replaced only under _POOL_LOCK
+# (worker count, executor) of the pool that pooled runs reuse, or None; read
+# and replaced only under _POOL_LOCK
 _POOL = None
 _POOL_LOCK = threading.Lock()
+# pools a forked child inherited: never used or shut down there, and kept
+# referenced, because collecting one takes a lock that a thread of the
+# parent may have held at the fork
+_INHERITED = []
+
+
+def _forget_pool() -> None:
+    """Give a forked child no pool and a free lock: both belong to the parent,
+    whose other threads may have held the lock at the fork."""
+    global _POOL, _POOL_LOCK
+    if _POOL is not None:
+        _INHERITED.append(_POOL)
+    _POOL, _POOL_LOCK = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):  # absent where there is no fork
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 @dataclass(frozen=True)
@@ -220,11 +242,10 @@ def _tasks(config: SimConfig, workers: int) -> list[tuple[SimConfig, int, int, i
 
 
 def _drop_pool() -> None:
-    """Forget the pool, shutting it down if this process started it; a pool
-    inherited across ``fork`` belongs to the parent and is left alone."""
+    """Shut the pool down and forget it."""
     global _POOL
-    if _POOL is not None and _POOL[0] == os.getpid():
-        _POOL[2].shutdown(cancel_futures=True)
+    if _POOL is not None:
+        _POOL[1].shutdown(cancel_futures=True)
     _POOL = None
 
 
@@ -234,8 +255,8 @@ def _pool(workers: int):
     Call with ``_POOL_LOCK`` held.
     """
     global _POOL
-    if _POOL is not None and _POOL[:2] == (os.getpid(), workers):
-        return _POOL[2]
+    if _POOL is not None and _POOL[0] == workers:
+        return _POOL[1]
     _drop_pool()
     # deferred: the pool machinery costs start-up time and memory that
     # one-worker runs and the other commands never use
@@ -246,8 +267,8 @@ def _pool(workers: int):
     # task (spawned or forkserver workers import it themselves)
     import numpy.random  # noqa: F401
 
-    _POOL = (os.getpid(), workers, ProcessPoolExecutor(max_workers=workers))
-    return _POOL[2]
+    _POOL = (workers, ProcessPoolExecutor(max_workers=workers))
+    return _POOL[1]
 
 
 def run(config: SimConfig, workers: int | None = None) -> SimTable:

@@ -3,14 +3,11 @@ import json
 import math
 import multiprocessing
 import os
-import pickle
-import select
 import signal
 import subprocess
 import sys
 import time
 import tracemalloc
-import traceback
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
@@ -492,8 +489,7 @@ needs_fork = pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
 
 def live_pool():
     """The live pool's executor and its worker processes by pid."""
-    pid, _, pool = crtest.mc._POOL
-    assert pid == os.getpid()
+    pool = crtest.mc._POOL[1]
     return pool, dict(pool._processes)
 
 
@@ -537,39 +533,91 @@ def test_no_convergence_on_the_pool_fails_one_run_and_drops_the_pool(monkeypatch
     assert run(cfg, workers=2).cells == run(cfg, workers=1).cells
 
 
+def run_script(code):
+    """Run ``code`` in a fresh interpreter, outside the suite's warning filters:
+    a fork next to the live pool's two threads, or next to other threads, is
+    one of a multi-threaded process, which Python 3.12+ reports with a
+    DeprecationWarning."""
+    src = str(Path(crtest.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300)
+
+
+# Runs asking for 2 and 3 workers replace each other's pool; one that shut a
+# pool down under another thread's run would fail that run.
+THREADS_SCRIPT = """
+import os, sys, threading
+os.sched_getaffinity = lambda pid: {0, 1, 2, 3}
+from crtest import FamilyParams, SimConfig, run
+
+cfg = SimConfig(params=FamilyParams(lam=1.0, p1=0.1, a=1.0, seed=1), n_grid=(20, 50),
+                alpha_grid=(0.05,), a_grid=(1.0, 2.0), reps=150)
+serial = run(cfg, workers=1).cells
+results = []
+
+def runs(workers):
+    for _ in range(3):
+        results.append(run(cfg, workers=workers).cells == serial)
+
+threads = [threading.Thread(target=runs, args=(2 + i % 2,)) for i in range(4)]
+sys.setswitchinterval(1e-6)
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join(timeout=120)
+print(sum(thread.is_alive() for thread in threads), results.count(True), len(results))
+"""
+
+
 @needs_fork
-def test_forked_child_forks_its_own_pool(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    parent = run(POOL_GRID, workers=2)
-    pool, workers = live_pool()
-    read_fd, write_fd = os.pipe()
-    child = os.fork()
-    if child == 0:  # never return into the test runner
-        status = 1
-        try:
-            os.close(read_fd)
-            table = run(POOL_GRID, workers=2)
-            own = crtest.mc._POOL[0] == os.getpid() and crtest.mc._POOL[2] is not pool
-            # os._exit skips the exit hook that stops the workers
-            crtest.mc._drop_pool()
-            with os.fdopen(write_fd, "wb") as out:
-                pickle.dump((own, table.cells), out)
-            status = 0
-        except BaseException:
-            traceback.print_exc()
-        finally:
-            os._exit(status)
-    os.close(write_fd)
-    with os.fdopen(read_fd, "rb") as inp:
-        if not select.select([inp], [], [], 120)[0]:
-            os.kill(child, signal.SIGKILL)
-        payload = inp.read()
-    assert os.waitpid(child, 0)[1] == 0
-    own, cells = pickle.loads(payload)
-    assert own and cells == parent.cells
-    # the child left the parent's pool alone
-    assert live_pool() == (pool, workers)
-    assert run(POOL_GRID, workers=2).cells == parent.cells
+def test_threads_take_turns_on_the_pool():
+    proc = run_script(THREADS_SCRIPT)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "12", "12"], proc.stderr
+
+
+FORK_SCRIPT = """
+import os, select, signal, traceback
+os.sched_getaffinity = lambda pid: {0, 1}
+import crtest.mc as mc
+from crtest import FamilyParams, SimConfig, run
+
+cfg = SimConfig(params=FamilyParams(lam=1.0, p1=0.1, a=1.0, seed=1), n_grid=(20, 50),
+                alpha_grid=(0.05,), a_grid=(1.0, 2.0), reps=150)
+cells = run(cfg, workers=2).cells
+pool = mc._POOL
+# as if a run in another thread held the lock across the fork
+mc._POOL_LOCK.acquire()
+read_fd, write_fd = os.pipe()
+child = os.fork()
+if child == 0:  # never return into the script
+    status = 1
+    try:
+        same = run(cfg, workers=2).cells == cells
+        own = mc._POOL[1] is not pool[1]
+        mc._drop_pool()  # os._exit skips the exit hook that stops the workers
+        os.write(write_fd, b"same=%d own=%d" % (same, own))
+        status = 0
+    except BaseException:
+        traceback.print_exc()
+    finally:
+        os._exit(status)
+mc._POOL_LOCK.release()
+os.close(write_fd)
+if not select.select([read_fd], [], [], 120)[0]:
+    os.kill(child, signal.SIGKILL)
+print(os.read(read_fd, 64).decode(), "status=%d" % os.waitpid(child, 0)[1])
+# the child left the parent's pool alone
+assert mc._POOL is pool and run(cfg, workers=2).cells == cells
+"""
+
+
+@needs_fork
+def test_forked_child_starts_its_own_pool():
+    proc = run_script(FORK_SCRIPT)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["same=1", "own=1", "status=0"], proc.stderr
 
 
 @needs_fork
@@ -592,8 +640,6 @@ def test_killed_worker_fails_one_run_and_the_next_forks_a_new_pool(monkeypatch):
 
 
 def test_interpreter_with_a_live_pool_exits_cleanly():
-    src = str(Path(crtest.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
     code = "\n".join([
         "import os",
         "os.sched_getaffinity = lambda pid: {0, 1}",
@@ -602,6 +648,5 @@ def test_interpreter_with_a_live_pool_exits_cleanly():
         "                alpha_grid=(0.05,), a_grid=(1.0,), reps=100)",
         "assert run(cfg, workers=2).metadata['workers'] == 2",
     ])
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                          timeout=120)
+    proc = run_script(code)
     assert (proc.returncode, proc.stderr) == (0, "")
