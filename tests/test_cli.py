@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import crtest
 from crtest.cli import cli_main
 
@@ -206,3 +208,131 @@ def test_module_entry_point_runs_the_cli():
     assert (proc.returncode, proc.stdout) == (0, f"crtest {crtest.__version__}\n"), proc.stderr
     proc = subprocess.run([*entry, "test"], env=env, capture_output=True, text=True)
     assert proc.returncode == 2 and "usage: crtest test" in proc.stderr
+
+
+# Golden reports: the full stdout of `crtest test` on small CSVs, one per
+# outcome the report can describe.
+GOLDEN_CSV = {
+    # cause 2 first, cause 1 last: every pseudo-value is >= 0
+    "hull": [(1, 2), (2, 2), (3, 2), (4, 1), (5, 1), (6, 1)],
+    "degenerate": [(1, 1), (2, 1), (3, 1), (4, 1)],
+    # the pseudo-values average exactly 0: solved with log ratio 0
+    "zero": [(1, 1), (2, 2), (3, 2), (4, 1)],
+    "ties": [(1, 1), (1, 2), (2, 2), (2, 1), (2, 2), (3, 1), (4, 2), (4, 1), (5, 1)],
+    # z = 1.85: one-sided rejects at 0.05, two-sided does not
+    "sided": [(1, 2), *((t, 1) for t in range(2, 9))],
+}
+GOLDEN_SHA = {
+    "hull": "7b57ec99a89ad414223fd525b2de520b8e187f4bfaf34bd347f3d340e23ef233",
+    "degenerate": "7c20f5317de481d160ff5859b8b21fc62293603ae1dbb6f2d7c504f0c0c61551",
+    "zero": "795db8f3ded0bef3b00b247aeff7232107b3b5a096fbecea45df1ba1d7dce37f",
+    "ties": "33ece00f5c5822c9087d598e6edd6c80be58f714aff4693f40401a5f249afec1",
+    "sided": "22956e7748e399b47855bd687b5dfdeefef7f40df060ca2b59ea71c95229e7de",
+}
+
+
+def golden_report(tmp_path, capsys, case, fmt, *extra):
+    f = tmp_path / f"{case}.csv"
+    f.write_text("time,cause\n" + "".join(f"{t},{c}\n" for t, c in GOLDEN_CSV[case]))
+    code = cli_main([
+        "test", "--input", str(f), "--time-col", "time", "--cause-col", "cause",
+        "--cause1", "1", "--cause2", "2", "--format", fmt, *extra,
+    ])
+    assert code == 0
+    return capsys.readouterr().out
+
+
+def golden_text(case, method, n, *lines):
+    head = [f"method:        {method}", f"input sha256:  {GOLDEN_SHA[case]}",
+            f"rows used:     {n}    rows dropped: 0"]
+    return "\n".join([*head, *lines]) + "\n"
+
+
+def golden_json(case, method, n, result):
+    return json.dumps({
+        "schema_version": 1, "method": method, "n_used": n, "n_dropped": 0,
+        "input_sha256": GOLDEN_SHA[case], "tool_version": crtest.__version__, "result": result,
+    }, indent=2) + "\n"
+
+
+def test_golden_hull_violation(tmp_path, capsys):
+    assert golden_report(tmp_path, capsys, "hull", "text") == golden_text(
+        "hull", "jel", 6,
+        "delta_hat:     0.3",
+        "statistic:     inf  (chi-square df=1 calibration)",
+        "note:          0 outside pseudo-value hull; treated as reject",
+        "p value:       0",
+        "decision:      reject independence at alpha=0.05",
+    )
+    assert golden_report(tmp_path, capsys, "hull", "json") == golden_json("hull", "jel", 6, {
+        "statistic": "inf", "p_value": 0.0, "reject": True, "alpha": 0.05, "delta_hat": 0.3,
+        "n": 6, "hull_ok": False, "degenerate": False, "el": None,
+    })
+
+
+def test_golden_degenerate(tmp_path, capsys):
+    assert golden_report(tmp_path, capsys, "degenerate", "text") == golden_text(
+        "degenerate", "jel", 4,
+        "delta_hat:     0",
+        "statistic:     0  (chi-square df=1 calibration)",
+        "note:          degenerate sample (no pseudo-value spread)",
+        "p value:       1",
+        "decision:      do not reject independence at alpha=0.05",
+    )
+    assert golden_report(tmp_path, capsys, "degenerate", "json") == golden_json(
+        "degenerate", "jel", 4, {
+            "statistic": 0.0, "p_value": 1.0, "reject": False, "alpha": 0.05, "delta_hat": 0.0,
+            "n": 4, "hull_ok": True, "degenerate": True,
+            "el": {"lam": 0.0, "log_ratio": 0.0, "iterations": 0, "residual": 0.0},
+        })
+
+
+def test_golden_zero_statistic(tmp_path, capsys):
+    assert golden_report(tmp_path, capsys, "zero", "text") == golden_text(
+        "zero", "jel", 4,
+        "delta_hat:     0",
+        "statistic:     -0  (chi-square df=1 calibration)",
+        "p value:       1",
+        "decision:      do not reject independence at alpha=0.05",
+    )
+    assert golden_report(tmp_path, capsys, "zero", "json") == golden_json("zero", "jel", 4, {
+        "statistic": -0.0, "p_value": 1.0, "reject": False, "alpha": 0.05, "delta_hat": 0.0,
+        "n": 4, "hull_ok": True, "degenerate": False,
+        "el": {"lam": 0.0, "log_ratio": 0.0, "iterations": 0, "residual": 0.0},
+    })
+
+
+def test_golden_ties(tmp_path, capsys):
+    assert golden_report(tmp_path, capsys, "ties", "text") == golden_text(
+        "ties", "jel", 9,
+        "delta_hat:     0.0833333",
+        "statistic:     0.503174  (chi-square df=1 calibration)",
+        "p value:       0.478109",
+        "decision:      do not reject independence at alpha=0.05",
+    )
+    assert golden_report(tmp_path, capsys, "ties", "json") == golden_json("ties", "jel", 9, {
+        "statistic": 0.5031744124456982, "p_value": 0.4781086238656904, "reject": False,
+        "alpha": 0.05, "delta_hat": 0.08333333333333333, "n": 9, "hull_ok": True,
+        "degenerate": False,
+        "el": {"lam": 0.6459947131703732, "log_ratio": -0.2515872062228491, "iterations": 4,
+               "residual": 9.782298428086102e-15},
+    })
+
+
+@pytest.mark.parametrize("two_sided", [True, False])
+def test_golden_ddk(tmp_path, capsys, two_sided):
+    extra = ["--method", "ddk"] + ([] if two_sided else ["--one-sided"])
+    p_value = 0.06407750645105952 if two_sided else 0.03203875322552976
+    assert golden_report(tmp_path, capsys, "sided", "text", *extra) == golden_text(
+        "sided", "ddk", 8,
+        "delta_hat:     0.125",
+        f"z:             1.85164  ({'two' if two_sided else 'one'}-sided normal calibration)",
+        "p1_hat:        0.875",
+        f"p value:       {'0.0640775' if two_sided else '0.0320388'}",
+        f"decision:      {'do not reject' if two_sided else 'reject'} independence at alpha=0.05",
+    )
+    assert golden_report(tmp_path, capsys, "sided", "json", *extra) == golden_json(
+        "sided", "ddk", 8, {
+            "z": 1.8516401995451033, "p_value": p_value, "reject": not two_sided, "alpha": 0.05,
+            "two_sided": two_sided, "p1_hat": 0.875, "delta_hat": 0.125, "n": 8,
+        })
