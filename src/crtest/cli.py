@@ -176,12 +176,12 @@ def cli_main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         output = _cmd_test(args) if args.command == "test" else _cmd_simulate(args)
+        if args.out:
+            Path(args.out).write_text(output, encoding="utf-8")
     except (CrtestError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.out:
-        Path(args.out).write_text(output, encoding="utf-8")
-    else:
+    if not args.out:
         sys.stdout.write(output)
     return 0
 

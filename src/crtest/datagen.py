@@ -49,6 +49,9 @@ class FamilyParams:
         if (isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer))
                 or self.seed < 0):
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        # numpy scalars pass the checks above; plain types keep records JSON-ready
+        for name, kind in (("lam", float), ("p1", float), ("a", float), ("seed", int)):
+            object.__setattr__(self, name, kind(getattr(self, name)))
 
 
 def rng_from_seed(seed: int, spawn_key: tuple[int, ...] = ()) -> np.random.Generator:

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -66,6 +67,24 @@ def ddk_z(sample: Sample) -> tuple[float, float, float]:
     return zstat(d_hat, p1_hat, n), p1_hat, d_hat
 
 
+@lru_cache(maxsize=8)
+def _critical_z(alphas: tuple[float, ...], two_sided: bool) -> tuple[float, ...]:
+    # cached: every task of a harness run asks for the same levels, and each
+    # quantile is a root search
+    return tuple(normal_quantile(1.0 - (al / 2.0 if two_sided else al)) for al in alphas)
+
+
+def _rejects(z, alphas: tuple[float, ...], two_sided: bool) -> np.ndarray:
+    """The decision rule at each level of ``alphas``, along a new last axis.
+
+    Two-sided rejects when |z| > q(1 - alpha/2), one-sided when
+    z > q(1 - alpha), q the standard normal quantile.  ``z`` is a scalar or
+    an array of z values.
+    """
+    side = np.abs(z) if two_sided else np.asarray(z)
+    return side[..., None] > _critical_z(alphas, two_sided)
+
+
 @dataclass(frozen=True)
 class DdkTestResult:
     """Outcome of the normal-calibrated concordance test."""
@@ -80,16 +99,7 @@ class DdkTestResult:
     n: int
 
     def to_dict(self) -> dict:
-        return {
-            "z": self.z,
-            "p_value": self.p_value,
-            "reject": self.reject,
-            "alpha": self.alpha,
-            "two_sided": self.two_sided,
-            "p1_hat": self.p1_hat,
-            "delta_hat": self.delta_hat,
-            "n": self.n,
-        }
+        return dict(vars(self))
 
 
 def ddk_test(sample: Sample, alpha: float = 0.05, two_sided: bool = True) -> DdkTestResult:
@@ -97,16 +107,10 @@ def ddk_test(sample: Sample, alpha: float = 0.05, two_sided: bool = True) -> Ddk
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha!r}")
     z, p1_hat, d_hat = ddk_z(sample)
-    if two_sided:
-        p_value = 2.0 * normal_sf(abs(z))
-        reject = abs(z) > normal_quantile(1.0 - alpha / 2.0)
-    else:
-        p_value = normal_sf(z)
-        reject = z > normal_quantile(1.0 - alpha)
     return DdkTestResult(
         z=z,
-        p_value=p_value,
-        reject=reject,
+        p_value=2.0 * normal_sf(abs(z)) if two_sided else normal_sf(z),
+        reject=bool(_rejects(z, (alpha,), two_sided)[0]),
         alpha=alpha,
         two_sided=two_sided,
         p1_hat=p1_hat,

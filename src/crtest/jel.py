@@ -18,9 +18,12 @@ quantile.
 There is one solver, a safeguarded Newton iteration (Owen, Empirical
 Likelihood, 2001, ch. 3) vectorised over the rows of an (R, n) stack of
 pseudo-values: each row keeps its own bracket and stops on its own, so a row
-solved in a stack gets exactly the result of solving it alone.
-``solve_lambda`` and ``jel_statistic`` are its one-row case, and
-``jel_statistics`` serves the Monte Carlo harness a whole block at a time.
+solved in a stack gets exactly the result of solving it alone.  There is
+also one classifier: ``jel_statistics`` alone decides whether a row is
+degenerate (all zero), a hull violation (0 not strictly inside its range) or
+solved.  It serves the Monte Carlo harness a whole block at a time;
+``jel_statistic`` is its one-row case and ``solve_lambda`` that case at a
+shifted mean, so the single-sample API and the harness run the same code.
 """
 
 from __future__ import annotations
@@ -115,13 +118,68 @@ def _log_ratio(ld: np.ndarray) -> np.ndarray:
     return np.where(s < 0.0, s, 0.0)
 
 
+def jel_statistics(
+    pseudo_values: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`jel_statistic` over each row of an (R, n) pseudo-value stack.
+
+    Returns ``(statistic, degenerate, iterations, lam, residual)``, each of
+    length R.  This is the one place a row is classified: an all-zero row is
+    degenerate, with statistic 0; a row without 0 strictly inside its
+    (min, max) is a hull violation, with statistic +inf; both get lam 0,
+    residual 0 and 0 iterations.  The remaining rows are solved together.
+    """
+    v = pseudo_values
+    r = v.shape[0]
+    degenerate = ~v.any(axis=1)
+    stat = np.where(degenerate, 0.0, math.inf)
+    iterations = np.zeros(r, dtype=np.int64)
+    lam, residual = np.zeros(r), np.zeros(r)
+    rows = np.flatnonzero((v.min(axis=1) < 0.0) & (v.max(axis=1) > 0.0))
+    if rows.size:
+        d = v[rows]
+        lam[rows], iterations[rows], residual[rows] = _newton_rows(d)
+        # 0.0 - x rather than -x, so a log ratio of 0 gives +0.0, not -0.0
+        stat[rows] = 0.0 - 2.0 * _log_ratio(lam[rows, None] * d)
+    return stat, degenerate, iterations, lam, residual
+
+
+def jel_statistic(pseudo_values) -> tuple[float, bool, bool, ElSolution | None]:
+    """-2 log ratio at the independence value delta0 = 0.
+
+    Returns ``(statistic, hull_ok, degenerate, el)``: the one-row case of
+    :func:`jel_statistics`, plus the solved weight profile.  Degenerate means
+    every pseudo-value is exactly zero (e.g. a single observed cause): the
+    constraint is trivially met, statistic 0, lam 0 and uniform weights.
+    When 0 falls outside the pseudo-value hull the statistic is +inf —
+    unbounded evidence against independence — and ``el`` is None.
+    """
+    v = np.asarray(pseudo_values, dtype=np.float64)
+    n = v.size
+    if n < 2:
+        raise SampleTooSmall(f"empirical likelihood needs n >= 2 pseudo-values, got {n}")
+    stat, degenerate, iterations, lam, residual = jel_statistics(v[None, :])
+    if math.isinf(stat[0]):
+        return math.inf, False, False, None
+    ld = lam[0] * v
+    weights = 1.0 / (n * (1.0 + ld))
+    weights.flags.writeable = False
+    el = ElSolution(
+        lam=float(lam[0]),
+        weights=weights,
+        log_ratio=float(_log_ratio(ld)),
+        iterations=int(iterations[0]),
+        residual=float(residual[0]),
+    )
+    return float(stat[0]), True, bool(degenerate[0]), el
+
+
 def solve_lambda(pseudo_values, delta0: float) -> ElSolution:
     """Solve the score equation at the hypothesized mean ``delta0``.
 
     Newton steps safeguarded by bisection on a maintained sign bracket;
     converged when the absolute score drops to 1e-10, capped at 100
-    iterations.  This is the one-row case of the solver that
-    :func:`jel_statistics` runs over a whole stack of pseudo-value rows.
+    iterations.  This is :func:`jel_statistic` on ``pseudo_values - delta0``.
 
     Raises :class:`HullViolation` when ``delta0`` is not strictly inside
     (min V, max V) — the weight problem is infeasible there — and
@@ -130,68 +188,13 @@ def solve_lambda(pseudo_values, delta0: float) -> ElSolution:
     uniform weights, lam = 0, log-ratio 0.
     """
     v = np.asarray(pseudo_values, dtype=np.float64)
-    n = v.size
-    if n < 2:
-        raise SampleTooSmall(f"empirical likelihood needs n >= 2 pseudo-values, got {n}")
-    d = v - float(delta0)
-    if np.all(d == 0.0):
-        w = np.full(n, 1.0 / n)
-        w.flags.writeable = False
-        return ElSolution(lam=0.0, weights=w, log_ratio=0.0, iterations=0, residual=0.0)
-    if not (d.min() < 0.0 < d.max()):
+    el = jel_statistic(v - float(delta0))[3]
+    if el is None:
         raise HullViolation(
             f"delta0={delta0!r} is outside the open hull "
             f"({float(v.min())!r}, {float(v.max())!r}) of the pseudo-values"
         )
-    lam, iterations, residual = _newton_rows(d[None, :])
-    ld = lam[0] * d
-    weights = 1.0 / (n * (1.0 + ld))
-    weights.flags.writeable = False
-    return ElSolution(
-        lam=float(lam[0]),
-        weights=weights,
-        log_ratio=float(_log_ratio(ld)),
-        iterations=int(iterations[0]),
-        residual=float(residual[0]),
-    )
-
-
-def jel_statistic(pseudo_values) -> tuple[float, bool, bool, ElSolution | None]:
-    """-2 log ratio at the independence value delta0 = 0.
-
-    Returns ``(statistic, hull_ok, degenerate, el)``.  Degenerate means every
-    pseudo-value is exactly zero (e.g. a single observed cause): the
-    constraint is trivially met, statistic 0.  When 0 falls outside the
-    pseudo-value hull the statistic is +inf — unbounded evidence against
-    independence — and ``el`` is None.
-    """
-    v = np.asarray(pseudo_values, dtype=np.float64)
-    if v.size and np.all(v == 0.0):
-        return 0.0, True, True, solve_lambda(v, 0.0)
-    try:
-        el = solve_lambda(v, 0.0)
-    except HullViolation:
-        return math.inf, False, False, None
-    return -2.0 * el.log_ratio, True, False, el
-
-
-def jel_statistics(pseudo_values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`jel_statistic` over each row of an (R, n) pseudo-value stack.
-
-    Returns ``(statistic, degenerate, iterations)``, each of length R.
-    Degenerate (all-zero) rows get statistic 0 and hull violations +inf,
-    both with 0 iterations; the remaining rows are solved together.
-    """
-    v = pseudo_values
-    degenerate = ~v.any(axis=1)
-    stat = np.where(degenerate, 0.0, math.inf)
-    iterations = np.zeros(v.shape[0], dtype=np.int64)
-    rows = np.flatnonzero((v.min(axis=1) < 0.0) & (v.max(axis=1) > 0.0))
-    if rows.size:
-        d = v[rows]
-        lam, iterations[rows], _ = _newton_rows(d)
-        stat[rows] = -2.0 * _log_ratio(lam[:, None] * d)
-    return stat, degenerate, iterations
+    return el
 
 
 @dataclass(frozen=True)
@@ -209,24 +212,11 @@ class JelTestResult:
     el: ElSolution | None
 
     def to_dict(self) -> dict:
-        stat = self.statistic
+        stat, el = self.statistic, self.el
         return {
+            **vars(self),
             "statistic": "inf" if math.isinf(stat) else stat,
-            "p_value": self.p_value,
-            "reject": self.reject,
-            "alpha": self.alpha,
-            "delta_hat": self.delta_hat,
-            "n": self.n,
-            "hull_ok": self.hull_ok,
-            "degenerate": self.degenerate,
-            "el": None
-            if self.el is None
-            else {
-                "lam": self.el.lam,
-                "log_ratio": self.el.log_ratio,
-                "iterations": self.el.iterations,
-                "residual": self.el.residual,
-            },
+            "el": None if el is None else {k: v for k, v in vars(el).items() if k != "weights"},
         }
 
 

@@ -51,9 +51,9 @@ from functools import lru_cache
 import numpy as np
 
 from .datagen import GENERATOR, SEED_SCHEME, FamilyParams, draw, uniform_rows
-from .ddk import zstat
+from .ddk import _rejects, zstat
 from .jel import jel_statistics
-from .specialfn import chisq1_quantile, normal_quantile
+from .specialfn import chisq1_quantile
 from .ustat import jackknife_rows
 
 SCHEMA_VERSION = 2
@@ -127,6 +127,7 @@ class SimConfig:
         # a replication index is one 32-bit spawn-key word (see uniform_rows)
         if not isinstance(self.reps, (int, np.integer)) or not 100 <= self.reps <= 1 << 32:
             raise ValueError(f"reps must be an integer in [100, 2**32], got {self.reps!r}")
+        object.__setattr__(self, "reps", int(self.reps))
         if not self.methods or any(m not in _METHOD_ORDER for m in self.methods):
             raise ValueError(f"methods must be a non-empty subset of {_METHOD_ORDER}")
 
@@ -175,20 +176,17 @@ def _resolve_workers(workers: int | None) -> int:
         raise ValueError(f"workers must be >= 0, got {workers!r}")
     affinity = getattr(os, "sched_getaffinity", None)
     cpus = len(affinity(0)) if affinity else (os.cpu_count() or 1)
-    return min(workers or cpus, cpus)
+    return int(min(workers or cpus, cpus))
 
 
 @lru_cache(maxsize=8)
-def _thresholds(alpha_grid: tuple[float, ...], two_sided: bool) -> tuple[tuple[float, ...], ...]:
-    """Per-alpha critical values of the jel statistic and of the ddk z.
+def _thresholds(alpha_grid: tuple[float, ...]) -> tuple[float, ...]:
+    """Per-alpha critical values of the jel statistic.
 
     Cached because every task of a run needs the same ones and each
     quantile is a root search.
     """
-    jel_thr = tuple(chisq1_quantile(1.0 - al) for al in alpha_grid)
-    half = 0.5 if two_sided else 1.0
-    ddk_thr = tuple(normal_quantile(1.0 - al * half) for al in alpha_grid)
-    return jel_thr, ddk_thr
+    return tuple(chisq1_quantile(1.0 - al) for al in alpha_grid)
 
 
 def _run_block(config: SimConfig, a_idx: int, n_idx: int, rep_lo: int, rep_hi: int) -> np.ndarray:
@@ -206,19 +204,17 @@ def _run_block(config: SimConfig, a_idx: int, n_idx: int, rep_lo: int, rep_hi: i
     params = FamilyParams(lam=config.params.lam, p1=config.params.p1, a=a, seed=config.params.seed)
     times, causes = draw(params, uniform_rows(params.seed, (a_idx, n_idx), rep_lo, rep_hi, 2 * n))
     d_hat, pseudo = jackknife_rows(times, causes)
-    jel_thr, ddk_thr = _thresholds(config.alpha_grid, config.ddk_two_sided)
     tallies = []
     if "jel" in config.methods:
-        stat, degenerate, iterations = jel_statistics(pseudo)
-        rejections = (stat[~degenerate, None] > jel_thr).sum(axis=0)
+        stat, degenerate, iterations, _, _ = jel_statistics(pseudo)
+        rejections = (stat[~degenerate, None] > _thresholds(config.alpha_grid)).sum(axis=0)
         tallies.append([*rejections, degenerate.sum(), np.isinf(stat).sum(), iterations.max()])
     if "ddk" in config.methods:
         p1_hat = (causes == 1).sum(axis=1) / n
         observed = (p1_hat > 0.0) & (p1_hat < 1.0)
         z = zstat(d_hat[observed], p1_hat[observed], n)
-        if config.ddk_two_sided:
-            z = np.abs(z)
-        tallies.append([*(z[:, None] > ddk_thr).sum(axis=0), (~observed).sum(), 0, 0])
+        rejections = _rejects(z, config.alpha_grid, config.ddk_two_sided).sum(axis=0)
+        tallies.append([*rejections, (~observed).sum(), 0, 0])
     return np.array(tallies, dtype=np.int64)
 
 

@@ -140,4 +140,5 @@ def scalar_solve_lambda(d, tol: float = 1e-10, max_iter: int = 100):
     if abs(g) > tol:
         return None
     log_ratio = min(0.0, -float(np.sum(np.log1p(lam * d))))
-    return lam, iterations, abs(g), -2.0 * log_ratio
+    # subtracting from 0.0 reports a zero statistic as +0.0, not -0.0
+    return lam, iterations, abs(g), 0.0 - 2.0 * log_ratio

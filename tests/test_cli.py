@@ -51,6 +51,16 @@ def test_out_file(tmp_path, capsys):
     assert json.loads(dest.read_text())["method"] == "jel"
 
 
+def test_unwritable_out_exits_1(tmp_path, capsys):
+    dest = tmp_path / "missing" / "report.json"
+    for args in (BASE_TEST_ARGS, ["simulate", "--p1", "0.4", "--a", "1.0", "--n", "10",
+                                  "--reps", "100", "--seed", "4"]):
+        assert cli_main(args + ["--out", str(dest)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and "Traceback" not in err
+    assert not dest.parent.exists()
+
+
 def test_no_header_with_indices(tmp_path, capsys):
     f = tmp_path / "bare.csv"
     f.write_text("1.0,1\n2.0,2\n3.0,1\n4.0,2\n")
@@ -291,12 +301,12 @@ def test_golden_zero_statistic(tmp_path, capsys):
     assert golden_report(tmp_path, capsys, "zero", "text") == golden_text(
         "zero", "jel", 4,
         "delta_hat:     0",
-        "statistic:     -0  (chi-square df=1 calibration)",
+        "statistic:     0  (chi-square df=1 calibration)",
         "p value:       1",
         "decision:      do not reject independence at alpha=0.05",
     )
     assert golden_report(tmp_path, capsys, "zero", "json") == golden_json("zero", "jel", 4, {
-        "statistic": -0.0, "p_value": 1.0, "reject": False, "alpha": 0.05, "delta_hat": 0.0,
+        "statistic": 0.0, "p_value": 1.0, "reject": False, "alpha": 0.05, "delta_hat": 0.0,
         "n": 4, "hull_ok": True, "degenerate": False,
         "el": {"lam": 0.0, "log_ratio": 0.0, "iterations": 0, "residual": 0.0},
     })

@@ -39,6 +39,12 @@ def test_params_validation():
             FamilyParams(lam=1.0, p1=0.3, a=1.5, seed=flag)
 
 
+def test_params_store_numpy_scalars_as_plain_numbers():
+    p = FamilyParams(lam=np.float32(2.0), p1=np.float32(0.25), a=np.float64(1.5), seed=np.int64(7))
+    assert p == FamilyParams(lam=2.0, p1=0.25, a=1.5, seed=7)
+    assert [type(x) for x in (p.lam, p.p1, p.a, p.seed)] == [float, float, float, int]
+
+
 def test_sample_reproducible_from_seed():
     p = FamilyParams(lam=2.0, p1=0.4, a=1.3, seed=77)
     assert sample(p, 500) == sample(p, 500)

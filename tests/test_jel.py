@@ -231,17 +231,18 @@ def test_batched_solver_rows_match_scalar_oracle_bitwise(with_ties):
         # unbalanced causes give hull violations and degenerate rows too
         causes[::4] = np.where(rng.random((10, n)) < 0.1, 1, 2)
         pseudo = jackknife_rows(times, causes)[1]
-        stat, degenerate, iterations = jel_statistics(pseudo)
+        stat, degenerate, iterations, lams, residuals = jel_statistics(pseudo)
         for i in range(40):
             one_stat, hull_ok, one_degenerate, el = jel_statistic(pseudo[i])
             assert np.array([one_stat]).tobytes() == stat[i].tobytes()
             assert one_degenerate == degenerate[i]
             if not hull_ok or one_degenerate:
-                assert iterations[i] == 0
+                assert iterations[i] == lams[i] == residuals[i] == 0
                 unsolved += 1
                 continue
             lam, iters, residual, ref_stat = scalar_solve_lambda(pseudo[i])
             assert np.array([el.lam, el.residual]).tobytes() == np.array([lam, residual]).tobytes()
+            assert np.array([lams[i], residuals[i]]).tobytes() == np.array([lam, residual]).tobytes()
             assert el.iterations == iters == iterations[i]
             assert np.array([ref_stat]).tobytes() == stat[i].tobytes()
             solved += 1
@@ -251,7 +252,7 @@ def test_batched_solver_rows_match_scalar_oracle_bitwise(with_ties):
 def test_batched_solver_on_generic_pseudo_values():
     rng = np.random.default_rng(67)
     v = np.array([random_pseudo(rng, 30) for _ in range(200)])
-    stat, degenerate, iterations = jel_statistics(v)
+    stat, degenerate, iterations, _, _ = jel_statistics(v)
     assert not degenerate.any() and np.isfinite(stat).all()
     for i in range(200):
         lam, iters, _, ref_stat = scalar_solve_lambda(v[i])

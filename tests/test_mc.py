@@ -25,7 +25,6 @@ from crtest import (
     chisq1_quantile,
     ddk_z,
     jackknife,
-    jel_statistic,
     normal_quantile,
     rng_from_seed,
     run,
@@ -34,6 +33,8 @@ from crtest import (
     to_json,
 )
 from crtest.mc import _BLOCK_ELEMS, _resolve_workers, _run_block, _tasks
+
+from oracles import scalar_solve_lambda
 
 
 def small_config(**overrides):
@@ -221,6 +222,25 @@ def test_json_output_roundtrip():
     }
 
 
+@pytest.mark.parametrize("case", ["seed", "lam", "p1", "a", "reps", "workers"])
+def test_numpy_scalars_give_valid_json_and_the_same_cells(case):
+    params = dict(lam=1.0, p1=0.25, a=1.5, seed=5)
+    numpy_value = {"seed": np.int64(5), "lam": np.float32(1.0), "p1": np.float32(0.25),
+                   "a": np.float32(1.5), "reps": np.int64(150), "workers": np.int64(1)}[case]
+    plain = run(small_config(params=FamilyParams(**params), a_grid=(1.5,)), workers=1)
+    config = dict(a_grid=(1.5,))
+    if case in params:
+        params[case] = numpy_value
+    elif case == "reps":
+        config["reps"] = numpy_value
+    table = run(small_config(params=FamilyParams(**params), **config),
+                workers=numpy_value if case == "workers" else 1)
+    payload = json.loads(to_json(table))
+    assert table.cells == plain.cells
+    assert payload["metadata"] == json.loads(to_json(plain))["metadata"] | {
+        "wall_time_s": payload["metadata"]["wall_time_s"]}
+
+
 def test_stderr_uses_used_replications():
     cfg = small_config(params=FamilyParams(lam=1.0, p1=0.05, a=1.0, seed=2), n_grid=(3,), reps=300)
     table = run(cfg, workers=1)
@@ -282,30 +302,38 @@ def test_thread_variable_sets_requested_workers(monkeypatch):
 
 
 def replay(cfg, a_idx, n_idx):
-    """One cell's tallies recomputed replication by replication through the public API.
+    """One cell's tallies recomputed replication by replication.
 
     One row per method (jel, ddk): rejections per alpha, then excluded, hull
-    violations and the most Newton steps.
+    violations and the most Newton steps.  The jel rows are classified here
+    and solved by the scalar oracle, not by the package's shared classifier
+    and solver, which the harness under test also runs.
     """
     a, n = cfg.a_grid[a_idx], cfg.n_grid[n_idx]
     params = FamilyParams(lam=cfg.params.lam, p1=cfg.params.p1, a=a, seed=cfg.params.seed)
     jel_thr = [chisq1_quantile(1.0 - al) for al in cfg.alpha_grid]
-    ddk_thr = [normal_quantile(1.0 - al / 2.0) for al in cfg.alpha_grid]
+    two_sided = cfg.ddk_two_sided
+    ddk_thr = [normal_quantile(1.0 - (al / 2.0 if two_sided else al)) for al in cfg.alpha_grid]
     jel_rej = [0] * len(jel_thr)
     ddk_rej = [0] * len(ddk_thr)
     jel_exc = ddk_exc = hull = iters_max = 0
     for rep in range(cfg.reps):
         s = sample(params, n, rng=rng_from_seed(cfg.params.seed, (a_idx, n_idx, rep)))
-        stat, hull_ok, degenerate, el = jel_statistic(jackknife(s).pseudo_values)
-        if degenerate:
+        v = jackknife(s).pseudo_values
+        if not v.any():
             jel_exc += 1
         else:
-            hull += math.isinf(stat)
-            iters_max = max(iters_max, el.iterations if hull_ok else 0)
+            if v.min() < 0.0 < v.max():
+                _, iters, _, stat = scalar_solve_lambda(v)
+                iters_max = max(iters_max, iters)
+            else:
+                stat = math.inf
+                hull += 1
             for k, thr in enumerate(jel_thr):
                 jel_rej[k] += stat > thr
         try:
-            z = abs(ddk_z(s)[0])
+            z = ddk_z(s)[0]
+            z = abs(z) if two_sided else z
         except DegenerateSample:
             ddk_exc += 1
         else:
@@ -321,6 +349,9 @@ REPLAY_CONFIGS = {
                          a_grid=(1.0, 1.5), alpha_grid=(0.01, 0.05), reps=600),
     "degenerate": small_config(params=FamilyParams(lam=1.0, p1=0.05, a=1.0, seed=2), n_grid=(3,),
                                alpha_grid=(0.01, 0.05), reps=400),
+    "one_sided": small_config(params=FamilyParams(lam=1.0, p1=0.4, a=1.0, seed=3), n_grid=(20,),
+                              a_grid=(1.0, 1.5), alpha_grid=(0.05, 0.1), reps=300,
+                              ddk_two_sided=False),
 }
 
 
@@ -336,8 +367,10 @@ def test_run_block_counts_equal_public_replay(case):
         assert np.array_equal(np.maximum(lo, hi)[:, -1], expected[:, -1])
     if case == "hull":
         assert expected[0, -2] > 0
-    else:
+    elif case == "degenerate":
         assert expected[0, -3] > 0 and expected[1, -3] > 0
+    else:
+        assert expected[1, 0] > 0
 
 
 def test_hull_violations_equal_replayed_infinite_statistics():
