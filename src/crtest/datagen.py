@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -63,12 +64,35 @@ def rng_from_seed(seed: int, spawn_key: tuple[int, ...] = ()) -> np.random.Gener
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=spawn_key))
 
 
-# numpy's SeedSequence hash constants and PCG64's 128-bit multiplier, frozen
-# by numpy's stream-compatibility policy (NEP 19)
-_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+# numpy's SeedSequence hash constants, frozen by numpy's stream-compatibility
+# policy (NEP 19)
+_MASK32 = (1 << 32) - 1
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+@cache
+def _seed_words():
+    """The class that hands PCG64 one row's precomputed seed words.
+
+    Built on first use: importing ``numpy.random.bit_generator`` loads all
+    of ``numpy.random``, which ``import crtest`` leaves unloaded.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class _Words(ISeedSequence):
+        """A seed sequence whose one state is a row of ``uniform_rows``' words."""
+
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            # PCG64 asks for exactly this; anything else would re-stream silently
+            if n_words != 4 or dtype is not np.uint64:
+                raise ValueError(f"seed words are 4 uint64, not {n_words} {dtype!r}")
+            return self.words
+
+    return _Words
 
 
 def _words(x: int) -> list[int]:
@@ -99,9 +123,11 @@ def uniform_rows(seed: int, key: tuple[int, ...], rep_lo: int, rep_hi: int, widt
     Row i equals ``rng_from_seed(seed, (*key, rep_lo + i)).random(width)``
     bit for bit.  The seed and ``key`` are hashed once; only the last
     entropy word, the replication index, is mixed in per row, as one uint64
-    column.  Each row's PCG64 state then follows O'Neill's ``set_seed`` and
-    is loaded into one reused generator.  A replication index of 2**32 or
-    more would take two entropy words and is rejected.
+    column, which gives every row's ``generate_state(4, uint64)`` words.
+    Each row is then drawn by a fresh ``Generator(PCG64(...))`` seeded with
+    its words, so PCG64's own constructor applies ``set_seed`` in C.  A
+    replication index of 2**32 or more would take two entropy words and is
+    rejected.
     """
     if not 0 <= rep_lo <= rep_hi <= 1 << 32:
         raise ValueError(f"replications must lie in [0, 2**32), got {rep_lo}..{rep_hi}")
@@ -127,17 +153,12 @@ def uniform_rows(seed: int, key: tuple[int, ...], rep_lo: int, rep_hi: int, widt
     for i in range(8):
         word, const = _hashmix(pool[i % 4], const, _MULT_B)
         state.append(word)
-    seed64 = [(state[2 * k] | state[2 * k + 1] << 32).tolist() for k in range(4)]
+    words = np.stack([state[2 * k] | state[2 * k + 1] << 32 for k in range(4)], axis=1)
 
     out = np.empty((rep_hi - rep_lo, width))
-    bitgen = np.random.PCG64(0)
-    gen = np.random.Generator(bitgen)
-    for row, s_hi, s_lo, q_hi, q_lo in zip(out, *seed64):
-        inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128
-        pcg = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
-        bitgen.state = {"bit_generator": "PCG64", "state": {"state": pcg, "inc": inc},
-                        "has_uint32": 0, "uinteger": 0}
-        gen.random(out=row)
+    Words, PCG64, Generator = _seed_words(), np.random.PCG64, np.random.Generator
+    for row, w in zip(out, words):
+        Generator(PCG64(Words(w))).random(out=row)
     return out
 
 

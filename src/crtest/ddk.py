@@ -30,6 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from ._checks import flag, level
 from .data import Sample
 from .errors import DegenerateSample, SampleTooSmall
 from .specialfn import normal_quantile, normal_sf
@@ -104,8 +105,7 @@ class DdkTestResult:
 
 def ddk_test(sample: Sample, alpha: float = 0.05, two_sided: bool = True) -> DdkTestResult:
     """Run the concordance test at level ``alpha`` (two-sided by default)."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha!r}")
+    alpha, two_sided = level(alpha), flag(two_sided, "two_sided")
     z, p1_hat, d_hat = ddk_z(sample)
     return DdkTestResult(
         z=z,

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import level
 from .data import Sample
 from .errors import HullViolation, NoConvergence, SampleTooSmall
 from .specialfn import chisq1_quantile, chisq1_sf
@@ -153,11 +154,15 @@ def jel_statistic(pseudo_values) -> tuple[float, bool, bool, ElSolution | None]:
     constraint is trivially met, statistic 0, lam 0 and uniform weights.
     When 0 falls outside the pseudo-value hull the statistic is +inf —
     unbounded evidence against independence — and ``el`` is None.
+    Non-finite pseudo-values raise ``ValueError``.
     """
     v = np.asarray(pseudo_values, dtype=np.float64)
     n = v.size
     if n < 2:
         raise SampleTooSmall(f"empirical likelihood needs n >= 2 pseudo-values, got {n}")
+    # a NaN fails both hull comparisons and would read as a hull violation
+    if not np.isfinite(v).all():
+        raise ValueError("pseudo-values must be finite")
     stat, degenerate, iterations, lam, residual = jel_statistics(v[None, :])
     if math.isinf(stat[0]):
         return math.inf, False, False, None
@@ -185,10 +190,14 @@ def solve_lambda(pseudo_values, delta0: float) -> ElSolution:
     (min V, max V) — the weight problem is infeasible there — and
     :class:`NoConvergence` if the cap is hit.  An all-equal pseudo-value
     vector with ``delta0`` equal to that value is the trivial feasible case:
-    uniform weights, lam = 0, log-ratio 0.
+    uniform weights, lam = 0, log-ratio 0.  A non-finite ``delta0`` or
+    pseudo-value raises ``ValueError``.
     """
     v = np.asarray(pseudo_values, dtype=np.float64)
-    el = jel_statistic(v - float(delta0))[3]
+    delta0 = float(delta0)
+    if not math.isfinite(delta0):
+        raise ValueError(f"delta0 must be finite, got {delta0!r}")
+    el = jel_statistic(v - delta0)[3]
     if el is None:
         raise HullViolation(
             f"delta0={delta0!r} is outside the open hull "
@@ -226,8 +235,7 @@ def jel_test(sample: Sample, alpha: float = 0.05) -> JelTestResult:
     Needs n >= 3.  The p-value is the chi-square(1) upper tail of the
     statistic; a hull violation yields statistic +inf, p-value 0, reject.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha!r}")
+    alpha = level(alpha)
     jk = jackknife(sample)
     stat, hull_ok, degenerate, el = jel_statistic(jk.pseudo_values)
     p_value = chisq1_sf(stat) if hull_ok else 0.0

@@ -50,6 +50,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from ._checks import flag, level
 from .datagen import GENERATOR, SEED_SCHEME, FamilyParams, draw, uniform_rows
 from .ddk import _rejects, zstat
 from .jel import jel_statistics
@@ -108,17 +109,19 @@ class SimConfig:
         if any(not float(n).is_integer() for n in n_grid):
             raise ValueError(f"n_grid values must be integers, got {n_grid!r}")
         object.__setattr__(self, "n_grid", tuple(int(n) for n in n_grid))
-        object.__setattr__(self, "alpha_grid", tuple(float(a) for a in self.alpha_grid))
+        object.__setattr__(self, "alpha_grid",
+                           tuple(level(a, "every alpha_grid value") for a in self.alpha_grid))
         object.__setattr__(self, "a_grid", tuple(float(a) for a in self.a_grid))
         object.__setattr__(self, "methods", tuple(self.methods))
+        object.__setattr__(self, "ddk_two_sided", flag(self.ddk_two_sided, "ddk_two_sided"))
         for name in ("n_grid", "alpha_grid", "a_grid"):
             grid = getattr(self, name)
             if len(set(grid)) != len(grid):
                 raise ValueError(f"{name} must not repeat a value, got {grid!r}")
         if not self.n_grid or any(n < 3 for n in self.n_grid):
             raise ValueError("n_grid must be non-empty with every n >= 3")
-        if not self.alpha_grid or any(not 0.0 < a < 1.0 for a in self.alpha_grid):
-            raise ValueError("alpha_grid must be non-empty with every alpha in (0, 1)")
+        if not self.alpha_grid:
+            raise ValueError("alpha_grid must be non-empty")
         if not self.a_grid:
             raise ValueError("a_grid must be non-empty")
         for a in self.a_grid:

@@ -6,6 +6,7 @@ import pytest
 
 from crtest import FamilyParams, rng_from_seed, sample, true_delta
 from crtest.datagen import (
+    _seed_words,
     baseline_cdf,
     cause1_probability,
     draw,
@@ -83,19 +84,34 @@ def test_stacked_draw_rows_equal_sample(n):
 
 @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 3, 2**128 + 1])
 def test_uniform_rows_equal_rng_from_seed(seed):
-    # seeds of one to five 32-bit words, keys with a word at its top value and
-    # replication indices up to the last one-word index, 2**32 - 1
+    # seeds of one to five 32-bit words, keys with a word at its top value,
+    # replication indices up to the last one-word index, 2**32 - 1, an empty
+    # range, and odd widths as well as the harness's even 2n
     for key in [(0, 0), (1, 2), (2**32 - 1, 1)]:
-        for rep_lo, rep_hi in [(0, 7), (2**32 - 5, 2**32)]:
-            for n in (3, 20, 101):
-                u = uniform_rows(seed, key, rep_lo, rep_hi, 2 * n)
-                assert u.shape == (rep_hi - rep_lo, 2 * n)
+        for rep_lo, rep_hi in [(0, 7), (2**32 - 5, 2**32), (5, 5)]:
+            for width in (1, 7, 6, 40, 202):
+                u = uniform_rows(seed, key, rep_lo, rep_hi, width)
+                assert u.shape == (rep_hi - rep_lo, width)
                 for row, rep in zip(u, range(rep_lo, rep_hi)):
-                    expected = rng_from_seed(seed, (*key, rep)).random(2 * n)
+                    expected = rng_from_seed(seed, (*key, rep)).random(width)
                     assert row.tobytes() == expected.tobytes()
     # an index of 2**32 takes two entropy words, so it is refused, not re-streamed
     with pytest.raises(ValueError):
         uniform_rows(seed, (0, 0), 2**32 - 1, 2**32 + 1, 6)
+
+
+def test_seed_words_refuse_other_requests():
+    # PCG64 seeds itself with generate_state(4, uint64); any other request
+    # means numpy changed how it seeds, and must not quietly re-stream
+    words = np.arange(4, dtype=np.uint64)
+    seq = _seed_words()(words)
+    assert seq.generate_state(4, np.uint64) is words
+    for n_words, dtype in [(2, np.uint64), (8, np.uint64), (4, np.uint32), (4, np.int64),
+                           (4, np.dtype(np.uint64)), (4, "uint64")]:
+        with pytest.raises(ValueError, match="seed words are 4 uint64"):
+            seq.generate_state(n_words, dtype)
+    with pytest.raises(ValueError, match="seed words are 4 uint64"):
+        seq.generate_state(4)
 
 
 def test_sample_values_are_valid():

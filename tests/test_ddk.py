@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -103,10 +104,23 @@ def test_cause_swap_flips_z_sign_keeps_two_sided_decision():
 
 def test_alpha_validation():
     s = Sample([obs(1, 2), obs(2, 1)])
-    with pytest.raises(ValueError):
-        ddk_test(s, alpha=0.0)
-    with pytest.raises(ValueError):
-        ddk_test(s, alpha=1.0)
+    for bad in (0.0, 1.0, math.nan, "0.05", True, np.array([0.05]), 0.05j, None):
+        with pytest.raises(ValueError, match="alpha must be a real number"):
+            ddk_test(s, alpha=bad)
+
+
+def test_alpha_and_side_are_stored_as_plain_values():
+    s = Sample([obs(1, 2), obs(2, 1), obs(3, 2), obs(4, 1)])
+    for alpha in (np.float32(0.05), np.float64(0.05), np.array(0.05), np.array(0.05, np.float32)):
+        for two_sided in (True, False):
+            res = ddk_test(s, alpha=alpha, two_sided=np.bool_(two_sided))
+            assert type(res.alpha) is float and type(res.two_sided) is bool
+            assert res == ddk_test(s, alpha=float(alpha), two_sided=two_sided)
+            assert json.loads(json.dumps(res.to_dict()))["alpha"] == float(alpha)
+    # only a bool picks the side: "no" is truthy, and 0 and 1 are not bools
+    for bad in ("no", 0, 1, None):
+        with pytest.raises(ValueError, match="two_sided must be a bool"):
+            ddk_test(s, two_sided=bad)
 
 
 def test_to_dict_fields():

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -189,11 +190,34 @@ def test_jel_test_degenerate_accepts():
 
 def test_jel_test_validates_alpha_and_size():
     s = Sample([obs(1, 1), obs(2, 2), obs(3, 1)])
-    for bad in (0.0, 1.0, -0.1, 2.0):
-        with pytest.raises(ValueError):
+    for bad in (0.0, 1.0, -0.1, 2.0, math.nan, "0.05", True, np.bool_(True), np.array([0.05]),
+                0.05j, None):
+        with pytest.raises(ValueError, match="alpha must be a real number"):
             jel_test(s, alpha=bad)
     with pytest.raises(SampleTooSmall):
         jel_test(Sample([obs(1, 1), obs(2, 2)]))
+
+
+def test_jel_test_alpha_is_stored_as_a_plain_float():
+    s = Sample([obs(1, 1), obs(2, 2), obs(3, 1), obs(4, 2)])
+    for alpha in (np.float32(0.05), np.float64(0.05), np.array(0.05), np.array(0.05, np.float32)):
+        res = jel_test(s, alpha=alpha)
+        assert type(res.alpha) is float
+        assert res.to_dict() == jel_test(s, alpha=float(alpha)).to_dict()
+        assert json.loads(json.dumps(res.to_dict()))["alpha"] == float(alpha)
+
+
+def test_non_finite_pseudo_values_raise():
+    # a NaN fails both hull comparisons, so unchecked it would read as a hull
+    # violation, that is, as "reject independence"
+    for v in ([-1.0, math.nan, 2.0], [-1.0, math.inf, 2.0], [-math.inf, 1.0, 2.0]):
+        with pytest.raises(ValueError, match="pseudo-values must be finite"):
+            jel_statistic(v)
+        with pytest.raises(ValueError, match="pseudo-values must be finite"):
+            solve_lambda(v, 0.5)
+    for delta0 in (math.nan, math.inf, -math.inf, np.float64(math.nan), np.array(math.inf)):
+        with pytest.raises(ValueError, match="delta0 must be finite"):
+            solve_lambda([-1.0, 0.5, 2.0], delta0)
 
 
 def test_statistic_invariant_under_cause_relabeling():

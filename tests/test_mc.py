@@ -67,6 +67,11 @@ def test_config_validation():
         small_config(alpha_grid=(0.0,))
     with pytest.raises(ValueError):
         small_config(alpha_grid=(1.0,))
+    # a level is a real number: a string is refused, not parsed
+    for bad in (("0.05",), (0.05, True), (np.array([0.05]),)):
+        with pytest.raises(ValueError, match="every alpha_grid value must be a real number"):
+            small_config(alpha_grid=bad)
+    assert small_config(alpha_grid=(np.float32(0.25), np.array(0.5))).alpha_grid == (0.25, 0.5)
     with pytest.raises(ValueError):
         small_config(a_grid=(2.5,))
     with pytest.raises(ValueError):
@@ -101,12 +106,12 @@ def test_run_is_deterministic():
     assert t1.cells == t2.cells
 
 
-def test_harness_builds_no_generator_per_replication(monkeypatch):
+def test_harness_hashes_no_seed_sequence_per_replication(monkeypatch):
     cfg = small_config(reps=500)
     expected = run(cfg, workers=1)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("the harness built a per-replication generator")
+        raise AssertionError("the harness hashed a per-replication SeedSequence")
 
     monkeypatch.setattr(crtest.datagen, "rng_from_seed", refuse)
     monkeypatch.setattr(np.random, "SeedSequence", refuse)
@@ -237,6 +242,21 @@ def test_numpy_scalars_give_valid_json_and_the_same_cells(case):
                 workers=numpy_value if case == "workers" else 1)
     payload = json.loads(to_json(table))
     assert table.cells == plain.cells
+    assert payload["metadata"] == json.loads(to_json(plain))["metadata"] | {
+        "wall_time_s": payload["metadata"]["wall_time_s"]}
+
+
+def test_ddk_two_sided_takes_a_bool_only():
+    # only a bool picks the side: "no" is truthy, and 0 and 1 are not bools
+    for bad in ("no", "False", 0, 1, None):
+        with pytest.raises(ValueError, match="ddk_two_sided must be a bool"):
+            small_config(ddk_two_sided=bad)
+    plain = run(small_config(ddk_two_sided=False), workers=1)
+    table = run(small_config(ddk_two_sided=np.bool_(False)), workers=1)
+    assert type(table.metadata["ddk_two_sided"]) is bool
+    assert table.cells == plain.cells
+    payload = json.loads(to_json(table))
+    assert payload["metadata"]["ddk_two_sided"] is False
     assert payload["metadata"] == json.loads(to_json(plain))["metadata"] | {
         "wall_time_s": payload["metadata"]["wall_time_s"]}
 
