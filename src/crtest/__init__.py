@@ -4,9 +4,9 @@ chi-square(1), a normal-calibrated concordance test, a parametric sampler
 with tunable dependence, and a Monte Carlo rejection-rate harness.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
-from .data import Observation, Sample
+from .data import Sample
 from .datagen import FamilyParams, rng_from_seed, sample, true_delta
 from .ddk import DdkTestResult, ddk_test, ddk_z
 from .errors import (
@@ -30,11 +30,10 @@ from .specialfn import (
     normal_cdf,
     normal_quantile,
 )
-from .ustat import JackknifeSet, delta_hat, jackknife, kernel_raw, kernel_sym
+from .ustat import JackknifeSet, delta_hat, jackknife
 
 __all__ = [
     "__version__",
-    "Observation",
     "Sample",
     "FamilyParams",
     "rng_from_seed",
@@ -75,6 +74,4 @@ __all__ = [
     "JackknifeSet",
     "delta_hat",
     "jackknife",
-    "kernel_raw",
-    "kernel_sym",
 ]

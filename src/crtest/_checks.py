@@ -10,13 +10,42 @@ from __future__ import annotations
 import numpy as np
 
 
+def real(value, name: str, lo: float, hi: float, ends: str = "[]") -> float:
+    """A real scalar between ``lo`` and ``hi``; ``ends`` gives the interval's
+    brackets, ``[``/``]`` for a closed end and ``(``/``)`` for an open one."""
+    a = np.asarray(value)
+    # kind f, i or u: bools, strings, complex and object values are refused,
+    # and NaN fails every comparison
+    if a.ndim == 0 and a.dtype.kind in "fiu":
+        x = float(a)
+        if (lo <= x if ends[0] == "[" else lo < x) and (x <= hi if ends[1] == "]" else x < hi):
+            return x
+    raise ValueError(f"{name} must be a real number in {ends[0]}{lo:g}, {hi:g}{ends[1]}, "
+                     f"got {value!r}")
+
+
 def level(value, name: str = "alpha") -> float:
     """A significance level: a real scalar strictly inside (0, 1)."""
+    return real(value, name, 0.0, 1.0, "()")
+
+
+def integer(value, name: str, lo: int = 0, hi: int | None = None, what: str | None = None) -> int:
+    """An integer in [lo, hi], unbounded above when ``hi`` is None: an
+    ``int``, numpy integer or 0-d integer array, never a ``bool`` or a float.
+
+    ``what`` replaces the description of the range in the error message.
+    """
     a = np.asarray(value)
-    # kind f, i or u: bools, strings, complex and object values are refused
-    if a.ndim == 0 and a.dtype.kind in "fiu" and 0.0 < float(a) < 1.0:
-        return float(a)
-    raise ValueError(f"{name} must be a real number in (0, 1), got {value!r}")
+    # type() is exact, so a bool is not taken for an int; an int too large
+    # for any numpy integer type, which numpy holds as an object, still is one
+    if type(value) is int or a.ndim == 0 and a.dtype.kind in "iu":
+        x = int(a)
+        if lo <= x and (hi is None or x <= hi):
+            return x
+    if what is None:
+        what = (f"an integer in [{lo}, {hi}]" if hi is not None
+                else "a nonnegative integer" if lo == 0 else f"an integer >= {lo}")
+    raise ValueError(f"{name} must be {what}, got {value!r}")
 
 
 def flag(value, name: str) -> bool:
@@ -24,3 +53,14 @@ def flag(value, name: str) -> bool:
     if isinstance(value, (bool, np.bool_)):
         return bool(value)
     raise ValueError(f"{name} must be a bool, got {value!r}")
+
+
+def items(values, name: str) -> tuple:
+    """The members of a collection, as a tuple; a bare ``str`` or ``bytes``,
+    which would be split into characters, or anything not iterable is refused."""
+    if not isinstance(values, (str, bytes)):
+        try:
+            return tuple(values)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be a collection of values, got {values!r}")

@@ -22,7 +22,7 @@ from .ddk import ddk_test
 from .errors import CrtestError
 from .ingest import IngestResult, IngestSpec, RunReport, ingest
 from .jel import jel_test
-from .mc import SimConfig, run, to_csv, to_json
+from .mc import _BLOCK_ELEMS, SimConfig, run, to_csv, to_json
 
 _INT_RE = re.compile(r"^\d+$")
 
@@ -86,7 +86,8 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("simulate", help="rejection rate for one parameter cell")
     _sim_common(s)
     s.add_argument("--a", type=float, required=True, help="dependence parameter in [1, 2]")
-    s.add_argument("--n", type=int, required=True, help="sample size per replication")
+    s.add_argument("--n", type=int, required=True,
+                   help=f"sample size per replication, 3 to {_BLOCK_ELEMS}")
     s.add_argument("--alpha", type=_float_list, default=(0.05,),
                    help="level(s), comma-separated (default 0.05)")
 
@@ -95,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     w.add_argument("--a-grid", type=_float_list, required=True,
                    help="comma-separated dependence parameters in [1, 2]")
     w.add_argument("--n-grid", type=_int_list, required=True,
-                   help="comma-separated sample sizes")
+                   help=f"comma-separated sample sizes, each 3 to {_BLOCK_ELEMS}")
     w.add_argument("--alphas", type=_float_list, required=True,
                    help="comma-separated levels")
 

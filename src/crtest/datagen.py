@@ -25,6 +25,7 @@ from functools import cache
 
 import numpy as np
 
+from ._checks import integer, real
 from .data import Sample
 
 GENERATOR = "numpy-pcg64"
@@ -41,18 +42,12 @@ class FamilyParams:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.lam) and self.lam > 0.0):
-            raise ValueError(f"lam must be finite and > 0, got {self.lam!r}")
-        if not 0.0 <= self.p1 <= 0.5:
-            raise ValueError(f"p1 must be in [0, 0.5], got {self.p1!r}")
-        if not 1.0 <= self.a <= 2.0:
-            raise ValueError(f"a must be in [1, 2], got {self.a!r}")
-        if (isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer))
-                or self.seed < 0):
-            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
-        # numpy scalars pass the checks above; plain types keep records JSON-ready
-        for name, kind in (("lam", float), ("p1", float), ("a", float), ("seed", int)):
-            object.__setattr__(self, name, kind(getattr(self, name)))
+        # plain Python numbers keep records JSON-ready
+        for name, value in (("lam", real(self.lam, "lam", 0.0, math.inf, "()")),
+                            ("p1", real(self.p1, "p1", 0.0, 0.5)),
+                            ("a", real(self.a, "a", 1.0, 2.0)),
+                            ("seed", integer(self.seed, "seed"))):
+            object.__setattr__(self, name, value)
 
 
 def rng_from_seed(seed: int, spawn_key: tuple[int, ...] = ()) -> np.random.Generator:
@@ -198,8 +193,7 @@ def sample(params: FamilyParams, n: int, rng: np.random.Generator | None = None)
     ``rng.random(2 * n)`` call feeds :func:`draw`, which is how the
     simulation harness draws each replication of a block.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n!r}")
+    n = integer(n, "n", 1)
     if rng is None:
         rng = rng_from_seed(params.seed)
     times, causes = draw(params, rng.random(2 * n)[None, :])

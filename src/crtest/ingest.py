@@ -14,17 +14,15 @@ import hashlib
 import io
 import json
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
+from ._checks import flag, integer, items
 from .data import Sample
 from .errors import NegativeTime, ParseError, UnmappedLabel
 
 SCHEMA_VERSION = 1
-
-
-def _labelset(values) -> frozenset[str]:
-    return frozenset(str(v).strip() for v in values)
 
 
 @dataclass(frozen=True)
@@ -32,8 +30,8 @@ class IngestSpec:
     """How to read one CSV file.
 
     ``time_column`` / ``cause_column`` are header names (str) or zero-based
-    positions (int); names require ``has_header``.  The three label sets must
-    be pairwise disjoint.
+    positions (int); names require ``has_header``.  The three label sets are
+    collections of labels, never a bare str, and must be pairwise disjoint.
     """
 
     path: str | Path
@@ -45,9 +43,15 @@ class IngestSpec:
     has_header: bool = True
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "cause1_labels", _labelset(self.cause1_labels))
-        object.__setattr__(self, "cause2_labels", _labelset(self.cause2_labels))
-        object.__setattr__(self, "drop_labels", _labelset(self.drop_labels))
+        if not isinstance(self.path, (str, os.PathLike)):
+            raise ValueError(f"path must be a str or os.PathLike, got {self.path!r}")
+        for name in ("time_column", "cause_column"):
+            col = getattr(self, name)
+            object.__setattr__(self, name, col if isinstance(col, str) else integer(col, name))
+        for name in ("cause1_labels", "cause2_labels", "drop_labels"):
+            labels = items(getattr(self, name), name)
+            object.__setattr__(self, name, frozenset(str(v).strip() for v in labels))
+        object.__setattr__(self, "has_header", flag(self.has_header, "has_header"))
         if not self.cause1_labels or not self.cause2_labels:
             raise ValueError("cause1_labels and cause2_labels must be non-empty")
         overlap = (
@@ -81,8 +85,6 @@ class IngestResult:
 
 def _column_index(col: str | int, header: list[str] | None, row_num: int) -> int:
     if isinstance(col, int):
-        if col < 0:
-            raise ParseError(row_num, col, "column index must be >= 0")
         return col
     assert header is not None
     stripped = [h.strip() for h in header]

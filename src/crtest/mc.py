@@ -50,7 +50,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._checks import flag, level
+from ._checks import flag, integer, items, level, real
 from .datagen import GENERATOR, SEED_SCHEME, FamilyParams, draw, uniform_rows
 from .ddk import _rejects, zstat
 from .jel import jel_statistics
@@ -105,32 +105,25 @@ class SimConfig:
     ddk_two_sided: bool = True
 
     def __post_init__(self) -> None:
-        n_grid = tuple(self.n_grid)
-        if any(not float(n).is_integer() for n in n_grid):
-            raise ValueError(f"n_grid values must be integers, got {n_grid!r}")
-        object.__setattr__(self, "n_grid", tuple(int(n) for n in n_grid))
-        object.__setattr__(self, "alpha_grid",
-                           tuple(level(a, "every alpha_grid value") for a in self.alpha_grid))
-        object.__setattr__(self, "a_grid", tuple(float(a) for a in self.a_grid))
-        object.__setattr__(self, "methods", tuple(self.methods))
+        if not isinstance(self.params, FamilyParams):
+            raise ValueError(f"params must be a FamilyParams, got {self.params!r}")
+        # a task holds at least one replication, so n is bounded by the block cap
+        object.__setattr__(self, "n_grid", tuple(
+            integer(n, "every n_grid value", 3, _BLOCK_ELEMS) for n in items(self.n_grid, "n_grid")))
+        object.__setattr__(self, "alpha_grid", tuple(
+            level(al, "every alpha_grid value") for al in items(self.alpha_grid, "alpha_grid")))
+        object.__setattr__(self, "a_grid", tuple(
+            real(a, "every a_grid value", 1.0, 2.0) for a in items(self.a_grid, "a_grid")))
+        object.__setattr__(self, "methods", items(self.methods, "methods"))
+        # a replication index is one 32-bit spawn-key word (see uniform_rows)
+        object.__setattr__(self, "reps", integer(self.reps, "reps", 100, 1 << 32))
         object.__setattr__(self, "ddk_two_sided", flag(self.ddk_two_sided, "ddk_two_sided"))
         for name in ("n_grid", "alpha_grid", "a_grid"):
             grid = getattr(self, name)
+            if not grid:
+                raise ValueError(f"{name} must be non-empty")
             if len(set(grid)) != len(grid):
                 raise ValueError(f"{name} must not repeat a value, got {grid!r}")
-        if not self.n_grid or any(n < 3 for n in self.n_grid):
-            raise ValueError("n_grid must be non-empty with every n >= 3")
-        if not self.alpha_grid:
-            raise ValueError("alpha_grid must be non-empty")
-        if not self.a_grid:
-            raise ValueError("a_grid must be non-empty")
-        for a in self.a_grid:
-            # reuse the family's own range check
-            FamilyParams(lam=self.params.lam, p1=self.params.p1, a=a, seed=self.params.seed)
-        # a replication index is one 32-bit spawn-key word (see uniform_rows)
-        if not isinstance(self.reps, (int, np.integer)) or not 100 <= self.reps <= 1 << 32:
-            raise ValueError(f"reps must be an integer in [100, 2**32], got {self.reps!r}")
-        object.__setattr__(self, "reps", int(self.reps))
         if not self.methods or any(m not in _METHOD_ORDER for m in self.methods):
             raise ValueError(f"methods must be a non-empty subset of {_METHOD_ORDER}")
 
@@ -167,19 +160,18 @@ class SimTable:
 
 
 def _resolve_workers(workers: int | None) -> int:
+    what = "an integer >= 0 (0 = every CPU)"
     if workers is None:
         env = os.environ.get("CRTEST_THREADS", "").strip()
         try:
-            workers = int(env) if env else 0
+            workers = integer(int(env) if env else 0, "CRTEST_THREADS", what=what)
         except ValueError:
-            raise ValueError(f"CRTEST_THREADS must be an integer, got {env!r}") from None
-    elif isinstance(workers, bool) or not isinstance(workers, (int, np.integer)):
-        raise ValueError(f"workers must be an integer, got {workers!r}")
-    if workers < 0:
-        raise ValueError(f"workers must be >= 0, got {workers!r}")
+            raise ValueError(f"CRTEST_THREADS must be {what}, got {env!r}") from None
+    else:
+        workers = integer(workers, "workers", what=what)
     affinity = getattr(os, "sched_getaffinity", None)
     cpus = len(affinity(0)) if affinity else (os.cpu_count() or 1)
-    return int(min(workers or cpus, cpus))
+    return min(workers or cpus, cpus)
 
 
 @lru_cache(maxsize=8)

@@ -29,47 +29,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Observation, Sample
+from .data import Sample
 from .errors import SampleTooSmall
 
 
-def kernel_raw(a: Observation, b: Observation) -> int:
-    """Orientation score of the ordered pair (a, b).
-
-    +1 when ``a`` outlives ``b`` with causes (1, 2); -1 when ``a`` outlives
-    ``b`` with causes (2, 1); 0 otherwise.  Tied times score 0 in every
-    branch: the failure-time law is treated as continuous, so ties carry no
-    ordering information.
-    """
-    if a.time > b.time:
-        if a.cause == 1 and b.cause == 2:
-            return 1
-        if a.cause == 2 and b.cause == 1:
-            return -1
-    return 0
-
-
-def kernel_sym(a: Observation, b: Observation) -> float:
-    """Symmetrized kernel: the two argument orders averaged.
-
-    Takes values in {-0.5, 0.0, +0.5} and has expectation delta, which makes
-    it a valid U-statistic kernel.
-    """
-    return 0.5 * (kernel_raw(a, b) + kernel_raw(b, a))
-
-
 def row_scores(times: np.ndarray, causes: np.ndarray) -> np.ndarray:
-    """Each subject's ``kernel_sym`` summed over all partners, from rank counts.
+    """Each subject's symmetric pair-kernel score summed over all partners.
 
-    A cause-1 subject scores 1/2 per cause-2 subject failing strictly earlier
-    and -1/2 per one failing strictly later; cause 2 is the mirror image, and
-    ties score 0 (the sort-based counting of Knight, 1966).  ``times`` and
-    ``causes`` are (n,) arrays or (R, n) stacks of R samples scored row by
-    row; a 1-D call is the R = 1 case.  Each row is sorted once and the stack
-    is then handled as one flat array of tie groups, which never cross a row
-    start.  Twice a score is an integer count of the partners before and
-    after the subject's tie group, so it is the same for every order within
-    that group: the sort need not be stable, and zero scores are +0.0.
+    The paper's U-statistic kernel scores an ordered pair +1 when the first
+    subject outlives the second with causes (1, 2), -1 with causes (2, 1)
+    and 0 otherwise, and averages the two orders of each pair.  Summed over
+    partners, a cause-1 subject so scores 1/2 per cause-2 subject failing
+    strictly earlier and -1/2 per one failing strictly later; cause 2 is the
+    mirror image, and ties score 0.  The sums come from rank counts (the
+    sort-based counting of Knight, 1966), not from the n**2 pairs.
+
+    ``times`` and ``causes`` are (n,) arrays or (R, n) stacks of R samples
+    scored row by row; a 1-D call is the R = 1 case.  Each row is sorted
+    once and the stack is then handled as one flat array of tie groups,
+    which never cross a row start.  Twice a score is an integer count of the
+    partners before and after the subject's tie group, so it is the same for
+    every order within that group: the sort need not be stable, and zero
+    scores are +0.0.
     """
     t = np.atleast_2d(np.asarray(times, dtype=np.float64))
     r, n = t.shape

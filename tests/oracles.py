@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 
+from crtest import Sample
+
 # --- frozen closed forms -------------------------------------------------
 #
 # Profile equation at pseudo-values (-1, 1, 1), hypothesized mean 0:
@@ -39,6 +41,43 @@ def closed_form_delta(p1: float, a: float) -> float:
     independent of the baseline rate.
     """
     return p1 * (a - 1.0) / (a + 1.0)
+
+
+# --- the paper's pair kernel and a sample builder ---------------------------
+#
+# An observation is a (time, cause) pair.  ``kernel_sym`` is the paper's
+# U-statistic kernel, which ``ustat.row_scores`` sums through rank counts.
+
+def sample_of(*pairs):
+    """A ``Sample`` of the given (time, cause) pairs, in order."""
+    times, causes = zip(*pairs)
+    return Sample.from_arrays(times, causes)
+
+
+def kernel_raw(a, b) -> int:
+    """Orientation score of the ordered pair (a, b) of (time, cause) pairs.
+
+    +1 when ``a`` outlives ``b`` with causes (1, 2); -1 when ``a`` outlives
+    ``b`` with causes (2, 1); 0 otherwise.  Tied times score 0 in every
+    branch: the failure-time law is treated as continuous, so ties carry no
+    ordering information.
+    """
+    (ta, ca), (tb, cb) = a, b
+    if ta > tb:
+        if ca == 1 and cb == 2:
+            return 1
+        if ca == 2 and cb == 1:
+            return -1
+    return 0
+
+
+def kernel_sym(a, b) -> float:
+    """Symmetrized kernel: the two argument orders averaged.
+
+    Takes values in {-0.5, 0.0, +0.5} and has expectation delta, which makes
+    it a valid U-statistic kernel.
+    """
+    return 0.5 * (kernel_raw(a, b) + kernel_raw(b, a))
 
 
 # --- naive pairwise statistics -------------------------------------------

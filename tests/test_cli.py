@@ -113,7 +113,7 @@ def test_help_exits_0(capsys):
 
 def test_version(capsys):
     assert cli_main(["--version"]) == 0
-    assert "crtest 0.1.0" in capsys.readouterr().out
+    assert "crtest 0.2.0" in capsys.readouterr().out
 
 
 def test_simulate_csv(capsys):

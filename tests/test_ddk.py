@@ -7,7 +7,6 @@ import pytest
 from crtest import (
     DegenerateSample,
     FamilyParams,
-    Observation,
     Sample,
     SampleTooSmall,
     SimConfig,
@@ -18,15 +17,11 @@ from crtest import (
 from crtest.ddk import zstat
 from crtest.specialfn import normal_sf
 
-from oracles import PAIR_EXAMPLE_Z
-
-
-def obs(t, c):
-    return Observation(float(t), c)
+from oracles import PAIR_EXAMPLE_Z, sample_of
 
 
 def test_pair_example_z_value():
-    s = Sample([obs(1, 2), obs(2, 1)])
+    s = sample_of((1, 2), (2, 1))
     z, p1_hat, dh = ddk_z(s)
     assert dh == 0.5 and p1_hat == 0.5
     assert z == pytest.approx(PAIR_EXAMPLE_Z, abs=1e-12)
@@ -54,18 +49,18 @@ def test_zstat_accepts_arrays():
 
 
 def test_ddk_z_single_cause_sample():
-    s = Sample([obs(1, 1), obs(2, 1), obs(3, 1)])
+    s = sample_of((1, 1), (2, 1), (3, 1))
     with pytest.raises(DegenerateSample):
         ddk_z(s)
 
 
 def test_ddk_z_needs_two_observations():
     with pytest.raises(SampleTooSmall):
-        ddk_z(Sample([obs(1, 1)]))
+        ddk_z(sample_of((1, 1)))
 
 
 def test_two_sided_default_p_value():
-    s = Sample([obs(1, 2), obs(2, 1), obs(3, 2), obs(4, 1), obs(5, 1)])
+    s = sample_of((1, 2), (2, 1), (3, 2), (4, 1), (5, 1))
     res = ddk_test(s)
     assert res.two_sided
     assert res.p_value == pytest.approx(2.0 * normal_sf(abs(res.z)), abs=1e-15)
@@ -73,7 +68,7 @@ def test_two_sided_default_p_value():
 
 
 def test_one_sided_p_value_and_decision():
-    s = Sample([obs(1, 2), obs(2, 1), obs(3, 2), obs(4, 1), obs(5, 1)])
+    s = sample_of((1, 2), (2, 1), (3, 2), (4, 1), (5, 1))
     res = ddk_test(s, two_sided=False)
     assert res.p_value == pytest.approx(normal_sf(res.z), abs=1e-15)
     assert res.reject == (res.p_value < res.alpha)
@@ -81,7 +76,7 @@ def test_one_sided_p_value_and_decision():
 
 def test_zero_delta_sample_sits_at_the_null_center():
     # the (1,2)/(2,1) pair contributions cancel pairwise
-    s = Sample([obs(1, 1), obs(2, 2), obs(3, 2), obs(4, 1)])
+    s = sample_of((1, 1), (2, 2), (3, 2), (4, 1))
     z, p1_hat, dh = ddk_z(s)
     assert dh == 0.0 and z == 0.0 and p1_hat == 0.5
     two = ddk_test(s)
@@ -103,14 +98,14 @@ def test_cause_swap_flips_z_sign_keeps_two_sided_decision():
 
 
 def test_alpha_validation():
-    s = Sample([obs(1, 2), obs(2, 1)])
+    s = sample_of((1, 2), (2, 1))
     for bad in (0.0, 1.0, math.nan, "0.05", True, np.array([0.05]), 0.05j, None):
         with pytest.raises(ValueError, match="alpha must be a real number"):
             ddk_test(s, alpha=bad)
 
 
 def test_alpha_and_side_are_stored_as_plain_values():
-    s = Sample([obs(1, 2), obs(2, 1), obs(3, 2), obs(4, 1)])
+    s = sample_of((1, 2), (2, 1), (3, 2), (4, 1))
     for alpha in (np.float32(0.05), np.float64(0.05), np.array(0.05), np.array(0.05, np.float32)):
         for two_sided in (True, False):
             res = ddk_test(s, alpha=alpha, two_sided=np.bool_(two_sided))
@@ -124,7 +119,7 @@ def test_alpha_and_side_are_stored_as_plain_values():
 
 
 def test_to_dict_fields():
-    d = ddk_test(Sample([obs(1, 2), obs(2, 1), obs(3, 2)])).to_dict()
+    d = ddk_test(sample_of((1, 2), (2, 1), (3, 2))).to_dict()
     assert set(d) == {"z", "p_value", "reject", "alpha", "two_sided", "p1_hat", "delta_hat", "n"}
     assert d["n"] == 3
 
@@ -145,8 +140,8 @@ def test_null_size_is_calibrated():
 
 def test_z_grows_with_sample_size_under_dependence():
     # doubling a strongly dependent sample roughly scales z by sqrt(2)
-    base = [obs(t, 2) for t in range(1, 11)] + [obs(t + 10, 1) for t in range(1, 11)]
-    z1, _, _ = ddk_z(Sample(base))
-    doubled = base + [obs(o.time + 0.5, o.cause) for o in base]
-    z2, _, _ = ddk_z(Sample(doubled))
+    base = [(t, 2) for t in range(1, 11)] + [(t + 10, 1) for t in range(1, 11)]
+    z1, _, _ = ddk_z(sample_of(*base))
+    doubled = base + [(t + 0.5, c) for t, c in base]
+    z2, _, _ = ddk_z(sample_of(*doubled))
     assert z2 > z1

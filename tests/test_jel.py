@@ -7,7 +7,6 @@ import pytest
 from crtest import (
     HullViolation,
     NoConvergence,
-    Observation,
     Sample,
     SampleTooSmall,
     chisq1_sf,
@@ -26,12 +25,9 @@ from oracles import (
     CLOSED_FORM_STAT,
     CLOSED_FORM_WEIGHTS,
     random_tc,
+    sample_of,
     scalar_solve_lambda,
 )
-
-
-def obs(t, c):
-    return Observation(float(t), c)
 
 
 def random_pseudo(rng, n):
@@ -135,7 +131,7 @@ def test_statistic_grows_away_from_the_mean():
 
 def test_jel_statistic_hull_violation_gives_inf():
     # all pair scores nonnegative, one positive: zero sits on the hull edge
-    s = Sample([obs(1, 2), obs(2, 2), obs(3, 1)])
+    s = sample_of((1, 2), (2, 2), (3, 1))
     v = jackknife(s).pseudo_values
     assert v.tolist() == [0.0, 0.0, 1.0]
     stat, hull_ok, degenerate, el = jel_statistic(v)
@@ -164,14 +160,14 @@ def test_jel_test_end_to_end_consistency():
 
 def test_jel_test_rejects_obvious_dependence():
     # cause 2 always early, cause 1 always late
-    s = Sample([obs(t, 2) for t in range(1, 11)] + [obs(t, 1) for t in range(11, 21)])
+    s = sample_of(*[(t, 2) for t in range(1, 11)], *[(t, 1) for t in range(11, 21)])
     res = jel_test(s)
     assert res.reject
     assert res.p_value < 0.01
 
 
 def test_jel_test_hull_violation_result_fields():
-    res = jel_test(Sample([obs(1, 2), obs(2, 2), obs(3, 1)]))
+    res = jel_test(sample_of((1, 2), (2, 2), (3, 1)))
     assert math.isinf(res.statistic)
     assert res.p_value == 0.0
     assert res.reject and not res.hull_ok
@@ -180,7 +176,7 @@ def test_jel_test_hull_violation_result_fields():
 
 
 def test_jel_test_degenerate_accepts():
-    s = Sample([obs(t, 1) for t in (1.0, 2.0, 3.0, 4.0)])
+    s = sample_of(*[(t, 1) for t in (1.0, 2.0, 3.0, 4.0)])
     res = jel_test(s)
     assert res.statistic == 0.0
     assert not res.reject
@@ -189,17 +185,17 @@ def test_jel_test_degenerate_accepts():
 
 
 def test_jel_test_validates_alpha_and_size():
-    s = Sample([obs(1, 1), obs(2, 2), obs(3, 1)])
+    s = sample_of((1, 1), (2, 2), (3, 1))
     for bad in (0.0, 1.0, -0.1, 2.0, math.nan, "0.05", True, np.bool_(True), np.array([0.05]),
                 0.05j, None):
         with pytest.raises(ValueError, match="alpha must be a real number"):
             jel_test(s, alpha=bad)
     with pytest.raises(SampleTooSmall):
-        jel_test(Sample([obs(1, 1), obs(2, 2)]))
+        jel_test(sample_of((1, 1), (2, 2)))
 
 
 def test_jel_test_alpha_is_stored_as_a_plain_float():
-    s = Sample([obs(1, 1), obs(2, 2), obs(3, 1), obs(4, 2)])
+    s = sample_of((1, 1), (2, 2), (3, 1), (4, 2))
     for alpha in (np.float32(0.05), np.float64(0.05), np.array(0.05), np.array(0.05, np.float32)):
         res = jel_test(s, alpha=alpha)
         assert type(res.alpha) is float

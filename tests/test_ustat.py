@@ -7,62 +7,63 @@ import pytest
 
 from crtest import (
     FamilyParams,
-    Observation,
     Sample,
     SampleTooSmall,
     delta_hat,
     jackknife,
-    kernel_raw,
-    kernel_sym,
     sample,
 )
 from crtest.datagen import draw, uniform_rows
 from crtest.mc import _BLOCK_ELEMS
 from crtest.ustat import jackknife_rows, row_scores
 
-from oracles import dense_row_sums, naive_delta_hat, naive_jackknife, random_tc
-
-
-def obs(t, c):
-    return Observation(float(t), c)
+from oracles import (
+    dense_row_sums,
+    kernel_raw,
+    kernel_sym,
+    naive_delta_hat,
+    naive_jackknife,
+    random_tc,
+    sample_of,
+)
 
 
 def test_kernel_raw_branches():
-    assert kernel_raw(obs(2, 1), obs(1, 2)) == 1
-    assert kernel_raw(obs(2, 2), obs(1, 1)) == -1
+    assert kernel_raw((2, 1), (1, 2)) == 1
+    assert kernel_raw((2, 2), (1, 1)) == -1
     # earlier first argument or equal causes score zero
-    assert kernel_raw(obs(1, 1), obs(2, 2)) == 0
-    assert kernel_raw(obs(2, 1), obs(1, 1)) == 0
-    assert kernel_raw(obs(2, 2), obs(1, 2)) == 0
+    assert kernel_raw((1, 1), (2, 2)) == 0
+    assert kernel_raw((2, 1), (1, 1)) == 0
+    assert kernel_raw((2, 2), (1, 2)) == 0
 
 
 def test_kernel_ties_score_zero():
     for c1 in (1, 2):
         for c2 in (1, 2):
-            assert kernel_raw(obs(1, c1), obs(1, c2)) == 0
-            assert kernel_sym(obs(1, c1), obs(1, c2)) == 0.0
+            assert kernel_raw((1, c1), (1, c2)) == 0
+            assert kernel_sym((1, c1), (1, c2)) == 0.0
 
 
 def test_kernel_sym_is_symmetric_and_half_valued():
-    assert kernel_sym(obs(2, 1), obs(1, 2)) == 0.5
-    assert kernel_sym(obs(1, 2), obs(2, 1)) == 0.5
-    assert kernel_sym(obs(2, 2), obs(1, 1)) == -0.5
+    assert kernel_sym((2, 1), (1, 2)) == 0.5
+    assert kernel_sym((1, 2), (2, 1)) == 0.5
+    assert kernel_sym((2, 2), (1, 1)) == -0.5
     rng = np.random.default_rng(3)
     for _ in range(200):
-        a = obs(rng.integers(0, 4), int(rng.integers(1, 3)))
-        b = obs(rng.integers(0, 4), int(rng.integers(1, 3)))
+        a = (rng.integers(0, 4), int(rng.integers(1, 3)))
+        b = (rng.integers(0, 4), int(rng.integers(1, 3)))
         assert kernel_sym(a, b) == kernel_sym(b, a)
         assert kernel_sym(a, b) in (-0.5, 0.0, 0.5)
 
 
 def test_delta_hat_two_point_example():
-    assert delta_hat(Sample([obs(1, 2), obs(2, 1)])) == 0.5
-    assert delta_hat(Sample([obs(1, 1), obs(2, 2)])) == -0.5
+    assert delta_hat(sample_of((1, 2), (2, 1))) == 0.5
+    assert delta_hat(sample_of((1, 1), (2, 2))) == -0.5
 
 
 def test_delta_hat_requires_two_points():
     with pytest.raises(SampleTooSmall):
-        delta_hat(Sample([obs(1, 1)]))
+        delta_hat(sample_of((1, 1)))
 
 
 def test_delta_hat_matches_naive_on_random_samples():
@@ -81,7 +82,7 @@ def test_row_scores_agree_with_scalar_kernel():
     for i in range(12):
         expected = 0.0
         for l in range(12):
-            expected += kernel_sym(obs(times[i], int(causes[i])), obs(times[l], int(causes[l])))
+            expected += kernel_sym((times[i], int(causes[i])), (times[l], int(causes[l])))
         assert scores[i] == expected
 
 
@@ -223,7 +224,7 @@ def test_pseudo_values_are_pinned():
 
 def test_jackknife_worked_example():
     """Three observations with the middle one from cause 2."""
-    s = Sample([obs(1, 1), obs(2, 2), obs(3, 1)])
+    s = sample_of((1, 1), (2, 2), (3, 1))
     jk = jackknife(s)
     assert jk.delta_hat == 0.0
     assert jk.pseudo_values.tolist() == [-1.0, 0.0, 1.0]
@@ -232,7 +233,7 @@ def test_jackknife_worked_example():
 
 def test_jackknife_requires_three_points():
     with pytest.raises(SampleTooSmall):
-        jackknife(Sample([obs(1, 1), obs(2, 2)]))
+        jackknife(sample_of((1, 1), (2, 2)))
 
 
 def test_jackknife_mean_identity_random():
@@ -256,7 +257,7 @@ def test_jackknife_matches_naive_recomputation():
 
 
 def test_pseudo_values_are_readonly():
-    jk = jackknife(Sample([obs(1, 1), obs(2, 2), obs(3, 1)]))
+    jk = jackknife(sample_of((1, 1), (2, 2), (3, 1)))
     with pytest.raises(ValueError):
         jk.pseudo_values[0] = 5.0
 
@@ -303,12 +304,12 @@ def test_permutation_invariance_and_bound():
 
 
 def test_single_cause_sample_scores_zero():
-    s = Sample([obs(t, 1) for t in (1.0, 2.0, 3.0, 4.0)])
+    s = sample_of(*[(t, 1) for t in (1.0, 2.0, 3.0, 4.0)])
     assert delta_hat(s) == 0.0
 
 
 def test_identical_observations_give_zero_pseudo_values():
-    s = Sample([obs(2.0, 1)] * 5)
+    s = sample_of(*[(2.0, 1)] * 5)
     jk = jackknife(s)
     assert jk.delta_hat == 0.0
     assert np.all(jk.pseudo_values == 0.0)
