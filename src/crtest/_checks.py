@@ -10,9 +10,12 @@ from __future__ import annotations
 import numpy as np
 
 
-def real(value, name: str, lo: float, hi: float, ends: str = "[]") -> float:
+def real(value, name: str, lo: float, hi: float, ends: str = "[]", what: str | None = None) -> float:
     """A real scalar between ``lo`` and ``hi``; ``ends`` gives the interval's
-    brackets, ``[``/``]`` for a closed end and ``(``/``)`` for an open one."""
+    brackets, ``[``/``]`` for a closed end and ``(``/``)`` for an open one.
+
+    ``what`` replaces the description of the range in the error message.
+    """
     a = np.asarray(value)
     # kind f, i or u: bools, strings, complex and object values are refused,
     # and NaN fails every comparison
@@ -20,8 +23,25 @@ def real(value, name: str, lo: float, hi: float, ends: str = "[]") -> float:
         x = float(a)
         if (lo <= x if ends[0] == "[" else lo < x) and (x <= hi if ends[1] == "]" else x < hi):
             return x
-    raise ValueError(f"{name} must be a real number in {ends[0]}{lo:g}, {hi:g}{ends[1]}, "
-                     f"got {value!r}")
+    if what is None:
+        what = f"a real number in {ends[0]}{lo:g}, {hi:g}{ends[1]}"
+    raise ValueError(f"{name} must be {what}, got {value!r}")
+
+
+def reals(values, name: str) -> np.ndarray:
+    """A 1-d array of real numbers, as a new float64 array.
+
+    Bool, string, complex and object values are refused, and so is a bool
+    in a list or tuple of numbers, which numpy would promote to a number.
+    """
+    a = np.array(values)
+    # a type-set scan costs a fraction of a per-element test, which only a
+    # list holding a bool or an array needs; an array input's dtype tells
+    odd = isinstance(values, (list, tuple)) and {bool, np.bool_, np.ndarray} & set(map(type, values))
+    if a.ndim != 1 or a.dtype.kind not in "fiu" or odd and any(
+            np.asarray(v).dtype == bool for v in values):
+        raise ValueError(f"{name} must be a 1-d array of real numbers")
+    return a.astype(np.float64, copy=False)
 
 
 def level(value, name: str = "alpha") -> float:

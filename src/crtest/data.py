@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._checks import reals
+
 
 class Sample:
     """Immutable, validated failure times and causes.
@@ -28,16 +30,13 @@ class Sample:
     def from_arrays(cls, times, causes) -> "Sample":
         """Build a sample from parallel 1-d arrays of real numbers.
 
-        Every time must be finite and >= 0 and every cause 1 or 2; bool,
-        string and other non-numeric arrays are refused, not converted.
+        Every time must be finite and >= 0 and every cause 1 or 2; bools,
+        strings and other non-numeric values are refused, not converted.
         The sample owns copies of its inputs.
         """
-        t, c = np.array(times), np.array(causes)
-        if t.dtype.kind not in "fiu" or c.dtype.kind not in "fiu":
-            raise ValueError("times and causes must be arrays of real numbers")
-        if t.ndim != 1 or c.shape != t.shape:
-            raise ValueError("times and causes must be 1-d arrays of equal length")
-        t = t.astype(np.float64, copy=False)
+        t, c = reals(times, "times"), reals(causes, "causes")
+        if c.shape != t.shape:
+            raise ValueError("times and causes must be of equal length")
         # check the causes before the int64 cast, which would truncate 1.5 to 1
         if t.size:
             if not np.all(np.isfinite(t)) or float(t.min()) < 0.0:

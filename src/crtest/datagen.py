@@ -90,65 +90,48 @@ def _seed_words():
     return _Words
 
 
-def _words(x: int) -> list[int]:
-    """32-bit words of a nonnegative integer, least significant first, as
-    ``SeedSequence`` splits its entropy."""
-    x = int(x)
-    if x < 0:
-        raise ValueError(f"seed words must be nonnegative, got {x!r}")
-    return [x >> s & _MASK32 for s in range(0, max(x.bit_length(), 1), 32)]
+def _word_count(x: int) -> int:
+    """How many 32-bit entropy words ``SeedSequence`` splits a nonnegative
+    integer into."""
+    return max(1, -(-int(x).bit_length() // 32))
 
 
-def _hashmix(value, const: int, mult: int):
-    """One step of ``SeedSequence``'s hash; ``value`` is an int or a uint64 array."""
-    value = value ^ const
-    const = const * mult & _MASK32
-    value = value * const & _MASK32
-    return value ^ value >> 16, const
-
-
-def _mix(x, y):
-    r = (_MIX_L * x - _MIX_R * y) & _MASK32
-    return r ^ r >> 16
+def _hash_rows(words: np.ndarray, init: int, mult: int, steps: range) -> np.ndarray:
+    """``SeedSequence``'s hash of the uint64 array ``words``, its row i (or
+    its one row, broadcast) taken as hash step ``steps[i]`` of the constant
+    sequence ``init * mult**k``."""
+    const = np.array([init * pow(mult, k, 1 << 32) & _MASK32
+                      for k in range(steps.start, steps.stop + 1)], dtype=np.uint64)[:, None]
+    value = (words ^ const[:-1]) * const[1:] & _MASK32
+    return value ^ value >> 16
 
 
 def uniform_rows(seed: int, key: tuple[int, ...], rep_lo: int, rep_hi: int, width: int) -> np.ndarray:
     """Uniforms of replications ``rep_lo..rep_hi``, one row of ``width`` each.
 
     Row i equals ``rng_from_seed(seed, (*key, rep_lo + i)).random(width)``
-    bit for bit.  The seed and ``key`` are hashed once; only the last
-    entropy word, the replication index, is mixed in per row, as one uint64
-    column, which gives every row's ``generate_state(4, uint64)`` words.
-    Each row is then drawn by a fresh ``Generator(PCG64(...))`` seeded with
-    its words, so PCG64's own constructor applies ``set_seed`` in C.  A
-    replication index of 2**32 or more would take two entropy words and is
-    rejected.
+    bit for bit.  numpy hashes the seed and ``key`` once, in
+    ``SeedSequence(seed, spawn_key=key).pool``; only the last entropy word,
+    the replication index, is mixed into that pool here, as a (4, R) array,
+    and the 8 words of every row's ``generate_state(4, uint64)`` are hashed
+    as an (8, R) array.  Each row is then drawn by a fresh
+    ``Generator(PCG64(...))`` seeded with its words, so PCG64's own
+    constructor applies ``set_seed`` in C.  A replication index of 2**32 or
+    more would take two entropy words and is rejected.
     """
     if not 0 <= rep_lo <= rep_hi <= 1 << 32:
         raise ValueError(f"replications must lie in [0, 2**32), got {rep_lo}..{rep_hi}")
-    run = _words(seed)
-    # with a spawn key, SeedSequence pads the run entropy to its 4-word pool
-    entropy = [*run, *[0] * (4 - len(run)), *(w for k in key for w in _words(k)),
-               np.arange(rep_lo, rep_hi, dtype=np.uint64)]
-    pool, const = [], _INIT_A
-    for word in entropy[:4]:
-        word, const = _hashmix(word, const, _MULT_A)
-        pool.append(word)
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                h, const = _hashmix(pool[src], const, _MULT_A)
-                pool[dst] = _mix(pool[dst], h)
-    for word in entropy[4:]:
-        for dst in range(4):
-            h, const = _hashmix(word, const, _MULT_A)
-            pool[dst] = _mix(pool[dst], h)
+    pool = np.random.SeedSequence(seed, spawn_key=key).pool.astype(np.uint64)[:, None]
+    # numpy took 4 hash steps to fill the pool from the seed, padded to 4
+    # words, and 12 to cross-mix it, then 4 per entropy word past the pool
+    steps = 16 + 4 * (sum(map(_word_count, key)) + max(0, _word_count(seed) - 4))
+    h = _hash_rows(np.arange(rep_lo, rep_hi, dtype=np.uint64)[None, :], _INIT_A, _MULT_A,
+                   range(steps, steps + 4))
+    pool = (_MIX_L * pool - _MIX_R * h) & _MASK32
+    pool ^= pool >> 16
     # generate_state(4, uint64): 8 words, paired little-endian into 64 bits
-    state, const = [], _INIT_B
-    for i in range(8):
-        word, const = _hashmix(pool[i % 4], const, _MULT_B)
-        state.append(word)
-    words = np.stack([state[2 * k] | state[2 * k + 1] << 32 for k in range(4)], axis=1)
+    state = _hash_rows(np.concatenate((pool, pool)), _INIT_B, _MULT_B, range(8))
+    words = (state[0::2] | state[1::2] << 32).T.copy()
 
     out = np.empty((rep_hi - rep_lo, width))
     Words, PCG64, Generator = _seed_words(), np.random.PCG64, np.random.Generator

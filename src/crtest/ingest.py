@@ -88,10 +88,11 @@ def _column_index(col: str | int, header: list[str] | None, row_num: int) -> int
         return col
     assert header is not None
     stripped = [h.strip() for h in header]
-    try:
-        return stripped.index(col)
-    except ValueError:
-        raise ParseError(row_num, col, f"column not found in header {stripped}") from None
+    count = stripped.count(col)
+    if count != 1:
+        problem = "appears more than once in" if count else "not found in"
+        raise ParseError(row_num, col, f"column {problem} header {stripped}")
+    return stripped.index(col)
 
 
 def _cell(row: list[str], idx: int, row_num: int) -> str:

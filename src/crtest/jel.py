@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import level
+from ._checks import level, real, reals
 from .data import Sample
 from .errors import HullViolation, NoConvergence, SampleTooSmall
 from .specialfn import chisq1_quantile, chisq1_sf
@@ -154,9 +154,9 @@ def jel_statistic(pseudo_values) -> tuple[float, bool, bool, ElSolution | None]:
     constraint is trivially met, statistic 0, lam 0 and uniform weights.
     When 0 falls outside the pseudo-value hull the statistic is +inf —
     unbounded evidence against independence — and ``el`` is None.
-    Non-finite pseudo-values raise ``ValueError``.
+    Anything but a 1-d array of finite real numbers raises ``ValueError``.
     """
-    v = np.asarray(pseudo_values, dtype=np.float64)
+    v = reals(pseudo_values, "pseudo-values")
     n = v.size
     if n < 2:
         raise SampleTooSmall(f"empirical likelihood needs n >= 2 pseudo-values, got {n}")
@@ -190,13 +190,12 @@ def solve_lambda(pseudo_values, delta0: float) -> ElSolution:
     (min V, max V) — the weight problem is infeasible there — and
     :class:`NoConvergence` if the cap is hit.  An all-equal pseudo-value
     vector with ``delta0`` equal to that value is the trivial feasible case:
-    uniform weights, lam = 0, log-ratio 0.  A non-finite ``delta0`` or
-    pseudo-value raises ``ValueError``.
+    uniform weights, lam = 0, log-ratio 0.  A ``delta0`` that is not a
+    finite real number, or pseudo-values :func:`jel_statistic` refuses,
+    raise ``ValueError``.
     """
-    v = np.asarray(pseudo_values, dtype=np.float64)
-    delta0 = float(delta0)
-    if not math.isfinite(delta0):
-        raise ValueError(f"delta0 must be finite, got {delta0!r}")
+    v = reals(pseudo_values, "pseudo-values")
+    delta0 = real(delta0, "delta0", -math.inf, math.inf, "()", what="finite and real")
     el = jel_statistic(v - delta0)[3]
     if el is None:
         raise HullViolation(

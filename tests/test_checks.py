@@ -23,9 +23,11 @@ from crtest import (
     SimConfig,
     ddk_test,
     ingest,
+    jel_statistic,
     jel_test,
     run,
     sample,
+    solve_lambda,
     to_json,
 )
 from crtest.cli import cli_main
@@ -60,6 +62,16 @@ def record(s: Sample):
     return [s.times.tolist(), s.causes.tolist()]
 
 
+def el_record(el):
+    return None if el is None else [el.lam, el.weights.tolist(), el.log_ratio, el.iterations,
+                                    el.residual]
+
+
+def jel_record(result):
+    stat, hull_ok, degenerate, el = result
+    return [repr(stat), hull_ok, degenerate, el_record(el)]
+
+
 def run_record(table):
     payload = json.loads(to_json(table))
     return [payload["cells"], payload["metadata"]["workers"]]
@@ -85,6 +97,8 @@ def entries(csv_path):
         "Sample.from_arrays times": lambda v: record(Sample.from_arrays([v], [1])),
         "Sample.from_arrays causes": lambda v: record(Sample.from_arrays([1.0], [v])),
         "Sample.from_arrays arrays": lambda v: record(Sample.from_arrays(v, v)),
+        "jel_statistic pseudo-values": lambda v: jel_record(jel_statistic([-1.0, v, 2.0])),
+        "solve_lambda delta0": lambda v: el_record(solve_lambda([-1.0, 0.5, 2.0], v)),
         **{f"FamilyParams.{f}": family(f) for f in ("lam", "p1", "a", "seed")},
         "SimConfig.params": config("params"),
         **{f"SimConfig.{f}": config(f) for f in ("n_grid", "alpha_grid", "a_grid", "methods")},
@@ -155,6 +169,19 @@ def test_grid_and_spec_values_seen_accepted_before():
         with pytest.raises(ValueError, match=field):
             IngestSpec(path="x.csv", **{**SPEC, field: value})
     assert IngestSpec(path="x.csv", **{**SPEC, "time_column": np.int64(0)}).time_column == 0
+    # strings and bools, also a bool among numbers, are not real numbers
+    for call, args in [
+        (solve_lambda, ([-1.0, 0.5, 2.0], "0.1")),
+        (solve_lambda, ([-1.0, 0.5, 2.0], None)),
+        (jel_statistic, (["-1", "1", "1"],)),
+        (jel_statistic, ([True, False, True],)),
+        (jel_statistic, ([[-1.0, 1.0, 1.0]],)),
+        (Sample.from_arrays, ([True, 2.0], [1, 2])),
+        (Sample.from_arrays, ([1.0, 2.0], [True, 2])),
+        (Sample.from_arrays, ([1.0, 2.0], (np.array(True), 2))),
+    ]:
+        with pytest.raises(ValueError):
+            call(*args)
 
 
 @pytest.mark.parametrize("argv", [

@@ -94,6 +94,16 @@ def test_malformed_csv_exits_1(tmp_path, capsys):
     assert err.startswith("error: row 3") and "field limit" in err
 
 
+def test_repeated_column_name_exits_1(tmp_path, capsys):
+    f = tmp_path / "twice.csv"
+    f.write_text("time,time,status\n1.0,2.0,1\n3.0,4.0,2\n")
+    code = cli_main(["test", "--input", str(f)] + BASE_TEST_ARGS[3:])
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: row 1") and "Traceback" not in err
+    assert "'time'" in err and "more than once" in err
+
+
 def test_missing_file_exits_1(capsys):
     code = cli_main(BASE_TEST_ARGS[:2] + ["/nonexistent/nope.csv"] + BASE_TEST_ARGS[3:])
     assert code == 1

@@ -82,12 +82,13 @@ def test_stacked_draw_rows_equal_sample(n):
         assert np.array_equal(s.causes, causes[rep])
 
 
-@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 3, 2**128 + 1])
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 3, 2**128 + 1, 2**200 + 9])
 def test_uniform_rows_equal_rng_from_seed(seed):
-    # seeds of one to five 32-bit words, keys with a word at its top value,
-    # replication indices up to the last one-word index, 2**32 - 1, an empty
-    # range, and odd widths as well as the harness's even 2n
-    for key in [(0, 0), (1, 2), (2**32 - 1, 1)]:
+    # seeds of one to seven 32-bit words, keys with a word at its top value
+    # and with a two-word element, replication indices up to the last
+    # one-word index, 2**32 - 1, an empty range, and odd widths as well as
+    # the harness's even 2n
+    for key in [(0, 0), (1, 2), (2**32 - 1, 1), (2**32 + 5, 3)]:
         for rep_lo, rep_hi in [(0, 7), (2**32 - 5, 2**32), (5, 5)]:
             for width in (1, 7, 6, 40, 202):
                 u = uniform_rows(seed, key, rep_lo, rep_hi, width)

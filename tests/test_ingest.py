@@ -142,6 +142,18 @@ def test_missing_column_is_a_parse_error(tmp_path):
         ingest(spec_for(f))
 
 
+def test_repeated_column_name_is_a_parse_error(tmp_path):
+    # the header names two "time" columns, so --time-col time is ambiguous
+    f = tmp_path / "twice.csv"
+    f.write_text("time,time,status\n1.0,2.0,1\n3.0,4.0,2\n")
+    with pytest.raises(ParseError, match="more than once") as exc:
+        ingest(spec_for(f))
+    assert exc.value.row == 1 and exc.value.column == "time"
+    # a repeated name that no spec refers to is still fine
+    f.write_text("time,x,x,status\n1.0,a,b,1\n3.0,c,d,2\n")
+    assert ingest(spec_for(f)).n_used == 2
+
+
 def test_short_row_is_a_parse_error(tmp_path):
     f = tmp_path / "short.csv"
     f.write_text("time,status\n1.0,1\n2.0\n")

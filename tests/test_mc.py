@@ -109,13 +109,21 @@ def test_run_is_deterministic():
 def test_harness_hashes_no_seed_sequence_per_replication(monkeypatch):
     cfg = small_config(reps=500)
     expected = run(cfg, workers=1)
+    built = []
+    seed_sequence = np.random.SeedSequence
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return seed_sequence(*args, **kwargs)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("the harness hashed a per-replication SeedSequence")
+        raise AssertionError("the harness built a per-replication generator")
 
     monkeypatch.setattr(crtest.datagen, "rng_from_seed", refuse)
-    monkeypatch.setattr(np.random, "SeedSequence", refuse)
+    monkeypatch.setattr(np.random, "SeedSequence", counted)
     assert run(cfg, workers=1).cells == expected.cells
+    # one SeedSequence per task, not per replication
+    assert len(built) == len(_tasks(cfg, 1)) < cfg.reps
 
 
 def test_harness_table_is_pinned():
