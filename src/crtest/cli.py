@@ -173,6 +173,8 @@ def cli_main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "test" and args.one_sided and args.method != "ddk":
+            parser.error("--one-sided applies to --method ddk only")
     except SystemExit as exc:  # argparse handles --help and usage errors
         return int(exc.code or 0)
     try:

@@ -184,21 +184,10 @@ def sample(params: FamilyParams, n: int, rng: np.random.Generator | None = None)
 
 
 def true_delta(params: FamilyParams) -> float:
-    """Population value of delta for these parameters, by quadrature.
+    """Population value of delta for these parameters, in closed form.
 
     In the variable x = F(t) the gap is the integral over [0, 1] of
-    p1*(1 - x**a) - p1*a*x**(a-1)*(1 - x), which does not involve ``lam``.
-    Substituting x = y**4 smooths the x**(a-1) cusp at 0, so a fixed
-    32-point Gauss-Legendre rule in y is accurate to about 1e-13 over the
-    whole family; the integrand, and so the result, is exactly 0 at a = 1
-    and at p1 = 0.
+    p1*(1 - x**a) - p1*a*x**(a-1)*(1 - x) = p1*(a - 1)/(a + 1), which does
+    not involve ``lam`` and is exactly 0 at a = 1 and at p1 = 0.
     """
-    nodes, weights = np.polynomial.legendre.leggauss(32)
-    y = 0.5 * (nodes + 1.0)
-    x = y**4
-    p1, a = params.p1, params.a
-    integrand = p1 * (1.0 - x**a) - p1 * a * x ** (a - 1.0) * (1.0 - x)
-    value = 2.0 * np.dot(weights, integrand * y**3)  # dx = 4 y**3 dy, dy = dz / 2
-    # the integrand is nonnegative everywhere for a >= 1, so a negative
-    # result this small can only be quadrature round-off
-    return max(0.0, float(value))
+    return params.p1 * (params.a - 1.0) / (params.a + 1.0)

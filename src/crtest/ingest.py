@@ -52,13 +52,10 @@ class IngestSpec:
             labels = items(getattr(self, name), name)
             object.__setattr__(self, name, frozenset(str(v).strip() for v in labels))
         object.__setattr__(self, "has_header", flag(self.has_header, "has_header"))
-        if not self.cause1_labels or not self.cause2_labels:
+        c1, c2, drop = self.cause1_labels, self.cause2_labels, self.drop_labels
+        if not c1 or not c2:
             raise ValueError("cause1_labels and cause2_labels must be non-empty")
-        overlap = (
-            (self.cause1_labels & self.cause2_labels)
-            | (self.cause1_labels & self.drop_labels)
-            | (self.cause2_labels & self.drop_labels)
-        )
+        overlap = (c1 & c2) | (c1 & drop) | (c2 & drop)
         if overlap:
             raise ValueError(f"label sets must be disjoint; shared: {sorted(overlap)}")
         for col in (self.time_column, self.cause_column):
@@ -66,6 +63,9 @@ class IngestSpec:
                 raise ValueError(
                     f"column {col!r} is a name but the file has no header; use an index"
                 )
+        if self.time_column == self.cause_column:
+            raise ValueError(f"time_column and cause_column must differ, got {self.time_column!r}"
+                             " for both")
 
 
 @dataclass(frozen=True)
@@ -83,10 +83,9 @@ class IngestResult:
     fingerprint: str
 
 
-def _column_index(col: str | int, header: list[str] | None, row_num: int) -> int:
+def _column_index(col: str | int, header: list[str], row_num: int) -> int:
     if isinstance(col, int):
         return col
-    assert header is not None
     stripped = [h.strip() for h in header]
     count = stripped.count(col)
     if count != 1:
@@ -99,20 +98,6 @@ def _cell(row: list[str], idx: int, row_num: int) -> str:
     if idx >= len(row):
         raise ParseError(row_num, idx, f"row has only {len(row)} fields")
     return row[idx].strip()
-
-
-def _records(reader, path: str | Path):
-    """Rows of ``reader``, each with the 1-based file line it starts on; a
-    malformed record raises :class:`ParseError`."""
-    start = 1
-    try:
-        for row in reader:
-            yield start, row
-            # a quoted field can span lines, so the next record starts after
-            # the last line this one consumed
-            start = reader.line_num + 1
-    except csv.Error as exc:
-        raise ParseError(reader.line_num, str(path), f"malformed CSV: {exc}") from None
 
 
 def ingest(spec: IngestSpec) -> IngestResult:
@@ -129,53 +114,55 @@ def ingest(spec: IngestSpec) -> IngestResult:
     except UnicodeDecodeError as exc:
         raise ParseError(0, str(spec.path), f"not valid UTF-8: {exc}") from None
 
-    rows = _records(csv.reader(io.StringIO(text)), spec.path)
-
-    header: list[str] | None = None
-    if spec.has_header:
-        for _, first in rows:
-            header = first
-            break
-        if header is None:
-            raise ParseError(0, str(spec.path), "file is empty but a header was expected")
-    t_idx = _column_index(spec.time_column, header, 1)
-    c_idx = _column_index(spec.cause_column, header, 1)
-
+    # label -> cause, with 0 for a dropped row
+    route = {**dict.fromkeys(spec.drop_labels, 0), **dict.fromkeys(spec.cause1_labels, 1),
+             **dict.fromkeys(spec.cause2_labels, 2)}
+    t_idx, c_idx = spec.time_column, spec.cause_column
     times: list[float] = []
     causes: list[int] = []
     n_dropped = 0
-    for row_num, row in rows:
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        raw_time = _cell(row, t_idx, row_num)
-        try:
-            t = float(raw_time)
-        except ValueError:
-            raise ParseError(row_num, spec.time_column, f"not a number: {raw_time!r}") from None
-        if not math.isfinite(t):
-            raise ParseError(row_num, spec.time_column, f"non-finite time: {raw_time!r}")
-        if t < 0:
-            raise NegativeTime(row_num, spec.time_column, f"negative time: {raw_time!r}")
-        label = _cell(row, c_idx, row_num)
-        if label in spec.drop_labels:
-            n_dropped += 1
-        elif label in spec.cause1_labels:
-            times.append(t)
-            causes.append(1)
-        elif label in spec.cause2_labels:
-            times.append(t)
-            causes.append(2)
-        else:
-            raise UnmappedLabel(label, row=row_num)
+    reader = csv.reader(io.StringIO(text))
+    start = 1
+    try:
+        for row in reader:
+            # a quoted field can span lines, so the next record starts after
+            # the last line this one consumed
+            row_num, start = start, reader.line_num + 1
+            if row_num == 1 and spec.has_header:
+                t_idx = _column_index(spec.time_column, row, 1)
+                c_idx = _column_index(spec.cause_column, row, 1)
+                if t_idx == c_idx:
+                    raise ParseError(1, spec.cause_column,
+                                     f"same column as time column {spec.time_column!r}")
+                continue
+            if not "".join(row).strip():
+                continue
+            raw_time = _cell(row, t_idx, row_num)
+            try:
+                t = float(raw_time)
+            except ValueError:
+                raise ParseError(row_num, spec.time_column, f"not a number: {raw_time!r}") from None
+            if not math.isfinite(t):
+                raise ParseError(row_num, spec.time_column, f"non-finite time: {raw_time!r}")
+            if t < 0:
+                raise NegativeTime(row_num, spec.time_column, f"negative time: {raw_time!r}")
+            label = _cell(row, c_idx, row_num)
+            cause = route.get(label)
+            if cause is None:
+                raise UnmappedLabel(label, row=row_num)
+            if cause:
+                times.append(t)
+                causes.append(cause)
+            else:
+                n_dropped += 1
+    except csv.Error as exc:
+        raise ParseError(reader.line_num, str(spec.path), f"malformed CSV: {exc}") from None
+    if spec.has_header and start == 1:  # not one record was read
+        raise ParseError(0, str(spec.path), "file is empty but a header was expected")
 
-    sample = Sample.from_arrays(times, causes)
-    return IngestResult(
-        sample=sample,
-        n_used=len(times),
-        n_dropped=n_dropped,
-        rows_parsed=len(times) + n_dropped,
-        fingerprint=fingerprint,
-    )
+    return IngestResult(sample=Sample.from_arrays(times, causes), n_used=len(times),
+                        n_dropped=n_dropped, rows_parsed=len(times) + n_dropped,
+                        fingerprint=fingerprint)
 
 
 @dataclass(frozen=True)

@@ -118,14 +118,15 @@ class SimConfig:
         # a replication index is one 32-bit spawn-key word (see uniform_rows)
         object.__setattr__(self, "reps", integer(self.reps, "reps", 100, 1 << 32))
         object.__setattr__(self, "ddk_two_sided", flag(self.ddk_two_sided, "ddk_two_sided"))
-        for name in ("n_grid", "alpha_grid", "a_grid"):
+        # checked first, so that every method is a str before the set below
+        if any(m not in _METHOD_ORDER for m in self.methods):
+            raise ValueError(f"methods must be a non-empty subset of {_METHOD_ORDER}")
+        for name in ("n_grid", "alpha_grid", "a_grid", "methods"):
             grid = getattr(self, name)
             if not grid:
                 raise ValueError(f"{name} must be non-empty")
             if len(set(grid)) != len(grid):
                 raise ValueError(f"{name} must not repeat a value, got {grid!r}")
-        if not self.methods or any(m not in _METHOD_ORDER for m in self.methods):
-            raise ValueError(f"methods must be a non-empty subset of {_METHOD_ORDER}")
 
 
 @dataclass(frozen=True)

@@ -43,6 +43,14 @@ def test_one_sided_flag(capsys):
     assert payload["result"]["two_sided"] is False
 
 
+def test_one_sided_is_for_ddk_only(capsys):
+    # the jel test has one calibration, so the flag would be silently ignored
+    for method in ([], ["--method", "jel"]):
+        assert cli_main(BASE_TEST_ARGS + method + ["--one-sided"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "--one-sided applies to --method ddk only" in err
+
+
 def test_out_file(tmp_path, capsys):
     dest = tmp_path / "report.json"
     code = cli_main(BASE_TEST_ARGS + ["--format", "json", "--out", str(dest)])

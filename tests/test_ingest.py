@@ -2,9 +2,11 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from crtest import (
+    CrtestError,
     IngestSpec,
     NegativeTime,
     ParseError,
@@ -13,6 +15,9 @@ from crtest import (
     ingest,
     jel_test,
 )
+from crtest.cli import cli_main
+
+from oracles import row_loop_ingest
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -216,6 +221,147 @@ def test_multiple_labels_per_cause(tmp_path):
     )
     assert result.sample.count_cause(1) == 3
     assert result.sample.count_cause(2) == 2
+
+
+def test_one_column_as_time_and_cause_is_refused(tmp_path, capsys):
+    f = tmp_path / "same.csv"
+    f.write_text("time,status\n1.0,1\n2.0,2\n")
+    with pytest.raises(ValueError, match="must differ"):
+        spec_for(f, time_column="status")
+    with pytest.raises(ValueError, match="must differ"):
+        IngestSpec(path=f, time_column=0, cause_column=0, cause1_labels={"1"},
+                   cause2_labels={"2"}, has_header=False)
+    # a name and an index are different specs, so only the header tells
+    for time_column, cause_column in [(1, "status"), ("time", 0)]:
+        with pytest.raises(ParseError, match="same column as time column") as exc:
+            ingest(spec_for(f, time_column=time_column, cause_column=cause_column))
+        assert exc.value.row == 1 and exc.value.column == cause_column
+    for cols in (["status", "status"], ["1", "status"]):
+        argv = ["test", "--input", str(f), "--time-col", cols[0], "--cause-col", cols[1],
+                "--cause1", "1", "--cause2", "2"]
+        assert cli_main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and "Traceback" not in err
+
+
+# Fragments of the parity corpus: a good cell most of the time, a bad one
+# now and then, so that both whole samples and every error path are common.
+GOOD_TIMES = ["1.5", " 2 ", "0", "3e2", "-0.0", '"4.25"', "7.5\t", "1_000"]
+BAD_TIMES = ["-1", "-2.5", "-1e-300", "abc", "", "inf", "-inf", "nan", "0x10"]
+GOOD_LABELS = ["1", "2", "0", " 1", "2 ", '"1"', "SI"]
+BAD_LABELS = ["x", "", "3", "1 2"]
+GOOD_NOTES = ["a", "", '"two\nlines"', '"q,uoted"', "b\x00c", '"x""y"', "\u00e9"]
+BAD_NOTES = ["c\rd", '"open']
+
+
+def _pick(rng, good, bad, p_bad=0.04):
+    return str(rng.choice(bad if rng.random() < p_bad else good))
+
+
+def random_csv(rng):
+    """Bytes of one random CSV file and the keyword arguments of its spec,
+    or None when both columns would be the same one."""
+    width = int(rng.integers(2, 5))
+    has_header = bool(rng.random() < 0.8)
+    names = [str(v) for v in rng.permutation(["time", "status", "note", "x"])[:width]]
+    if rng.random() < 0.1:
+        names[-1] = names[0]
+    if rng.random() < 0.2:
+        names[0] = f" {names[0]} "
+    stripped = [h.strip() for h in names]
+
+    def column():
+        if has_header and rng.random() < 0.6:
+            return "missing" if rng.random() < 0.03 else str(rng.choice(stripped))
+        return width if rng.random() < 0.03 else int(rng.integers(0, width))
+
+    def position(col):
+        return col if isinstance(col, int) else (
+            stripped.index(col) if stripped.count(col) == 1 else None)
+
+    time_column, cause_column = column(), column()
+    t_pos, c_pos = position(time_column), position(cause_column)
+    if time_column == cause_column or has_header and t_pos is not None and t_pos == c_pos:
+        return None
+    lines = [",".join(names)] if has_header else []
+    for _ in range(int(rng.integers(0, 9))):
+        kind = rng.random()
+        if kind < 0.06:
+            lines.append(str(rng.choice(["", " ", ",", ",,", " , "])))
+            continue
+        cells = []
+        for p in range(width + (1 if kind > 0.97 else 0)):
+            if p == t_pos:
+                cells.append(_pick(rng, GOOD_TIMES, BAD_TIMES, 0.08))
+            elif p == c_pos:
+                cells.append(_pick(rng, GOOD_LABELS, BAD_LABELS))
+            else:
+                cells.append(_pick(rng, GOOD_NOTES + GOOD_TIMES + GOOD_LABELS, BAD_NOTES))
+        if kind < 0.09:
+            cells = cells[:int(rng.integers(1, width))]
+        lines.append(",".join(cells))
+    eol = "\r\n" if rng.random() < 0.3 else "\n"
+    text = eol.join(lines) + (eol if rng.random() < 0.8 else "")
+    bom = "\ufeff" if rng.random() < 0.2 else ""
+    spec = dict(time_column=time_column, cause_column=cause_column, has_header=has_header,
+                cause1_labels={"1", "SI"}, cause2_labels={"2"},
+                drop_labels={"0"} if rng.random() < 0.7 else set())
+    return (bom + text).encode(), spec
+
+
+# named cases: each is the file's bytes and overrides of spec_for's arguments
+EDGE_CASES = {
+    "empty": (b"", {}),
+    "empty, no header": (b"", dict(time_column=0, cause_column=1, has_header=False)),
+    "header only": (b"time,status\n", {}),
+    "bom only": ("\ufeff".encode(), {}),
+    "blank lines only": (b"\n\n\n", dict(time_column=0, cause_column=1)),
+    "blank first line": (b"\ntime,status\n1,1\n", {}),
+    "not utf-8": (b"time,status\n1.0,\xff\n", {}),
+    "all dropped": (b"time,status\n1,0\n2,0\n", {}),
+    "field limit in header": (b"x" * 200_000 + b",status\n1,1\n", {}),
+    "field limit in row 3": (b"time,status\n1,1\n2," + b"2" * 200_000 + b"\n", {}),
+    "open quote at the end": (b'time,status\n1,1\n2,"2\n', {}),
+    "bad time after a multi-line field": (b'time,status,note\n1,1,"a\nb"\nabc,2,x\n', {}),
+    "bare CR": (b"time,status\n1,1\r2,2\n", {}),
+    "bare CR in a multi-line record": (b'time,status,note\n1,1,"a\nb",c\rd\n', {}),
+    "repeated name": (b"time,time,status\n1,2,1\n", {}),
+    "missing name": (b"t,status\n1,1\n", {}),
+    "index past the row": (b"time,status\n1,1\n", dict(cause_column=5)),
+    "crlf": (b"time,status\r\n1,1\r\n2,2\r\n", {}),
+    "comma-only rows": (b"time,status\n,\n1,1\n , \n2,2\n", {}),
+}
+
+
+def outcome(read, spec):
+    """The sample and counts a reader gives, or the error it raises."""
+    try:
+        r = read(spec)
+    except (CrtestError, ValueError) as exc:
+        return type(exc), getattr(exc, "row", None), getattr(exc, "column", None), str(exc)
+    s = r.sample
+    return (s.times.tobytes(), s.causes.tobytes(), r.n_used, r.n_dropped, r.rows_parsed,
+            r.fingerprint)
+
+
+def test_ingest_matches_the_row_loop_reader(tmp_path):
+    f = tmp_path / "case.csv"
+    cases = [(name, data, spec_for(f, **kw)) for name, (data, kw) in EDGE_CASES.items()]
+    rng = np.random.default_rng(20261018)
+    while len(cases) < len(EDGE_CASES) + 400:
+        made = random_csv(rng)
+        if made is not None:
+            data, kw = made
+            cases.append((f"random {len(cases)}", data, spec_for(f, **kw)))
+    kinds = []
+    for name, data, spec in cases:
+        f.write_bytes(data)
+        got = outcome(ingest, spec)
+        assert got == outcome(row_loop_ingest, spec), (name, data, spec)
+        kinds.append(got[0] if isinstance(got[0], type) else "sample")
+    # the corpus reaches whole samples and every kind of error
+    for kind in ("sample", ParseError, NegativeTime, UnmappedLabel):
+        assert kinds.count(kind) >= 10, kind
 
 
 def test_run_report_json_and_text():

@@ -87,6 +87,8 @@ def test_config_validation():
         small_config(n_grid=(20, 10, 20))
     with pytest.raises(ValueError, match="alpha_grid"):
         small_config(alpha_grid=(0.05, 0.1, 0.05))
+    with pytest.raises(ValueError, match="methods must not repeat"):
+        small_config(methods=("jel", "jel"))
 
 
 def test_cell_bookkeeping():

@@ -12,6 +12,7 @@ from crtest import (
     delta_hat,
     jackknife,
     sample,
+    true_delta,
 )
 from crtest.datagen import draw, uniform_rows
 from crtest.mc import _BLOCK_ELEMS
@@ -316,12 +317,14 @@ def test_identical_observations_give_zero_pseudo_values():
 
 
 def test_delta_hat_unbiased_under_independence():
-    # a = 1 makes cause independent of time, where the population value is 0
+    # a = 1 makes cause independent of time, where the population value is 0;
+    # at a = 1.6 the sampler and the estimator must meet true_delta's closed form
     rng = np.random.default_rng(808)
-    params = FamilyParams(lam=1.0, p1=0.4, a=1.0)
     reps, n = 10_000, 50
-    values = np.empty(reps)
-    for r in range(reps):
-        values[r] = delta_hat(sample(params, n, rng=rng))
-    se = values.std(ddof=1) / math.sqrt(reps)
-    assert abs(values.mean()) <= 3.0 * se
+    for a in (1.0, 1.6):
+        params = FamilyParams(lam=1.0, p1=0.4, a=a)
+        values = np.empty(reps)
+        for r in range(reps):
+            values[r] = delta_hat(sample(params, n, rng=rng))
+        se = values.std(ddof=1) / math.sqrt(reps)
+        assert abs(values.mean() - true_delta(params)) <= 3.0 * se, a
