@@ -9,6 +9,12 @@ from __future__ import annotations
 
 import numpy as np
 
+# Largest R*n stack one harness task holds, and so the largest sample size
+# the harness takes: bounds a task's memory whatever the replication count,
+# while keeping numpy's per-call overhead amortised.  Kept here, where the
+# CLI's help text finds it without loading the harness.
+BLOCK_ELEMS = 1 << 14
+
 
 def real(value, name: str, lo: float, hi: float, ends: str = "[]", what: str | None = None) -> float:
     """A real scalar between ``lo`` and ``hi``; ``ends`` gives the interval's

@@ -7,6 +7,9 @@ Three subcommands:
 * ``power``     — rejection-rate table over (a, n, alpha) grids
 
 Exit codes: 0 success, 1 data or numeric error, 2 usage error.
+
+Only what ``test --method jel`` runs loads with this module; the
+normal-calibrated test and the harness load when a command needs them.
 """
 
 from __future__ import annotations
@@ -17,12 +20,10 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .datagen import FamilyParams
-from .ddk import ddk_test
+from ._checks import BLOCK_ELEMS, level
 from .errors import CrtestError
 from .ingest import IngestResult, IngestSpec, RunReport, ingest
 from .jel import jel_test
-from .mc import _BLOCK_ELEMS, SimConfig, run, to_csv, to_json
 
 _INT_RE = re.compile(r"^\d+$")
 
@@ -87,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     _sim_common(s)
     s.add_argument("--a", type=float, required=True, help="dependence parameter in [1, 2]")
     s.add_argument("--n", type=int, required=True,
-                   help=f"sample size per replication, 3 to {_BLOCK_ELEMS}")
+                   help=f"sample size per replication, 3 to {BLOCK_ELEMS}")
     s.add_argument("--alpha", type=_float_list, default=(0.05,),
                    help="level(s), comma-separated (default 0.05)")
 
@@ -96,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     w.add_argument("--a-grid", type=_float_list, required=True,
                    help="comma-separated dependence parameters in [1, 2]")
     w.add_argument("--n-grid", type=_int_list, required=True,
-                   help=f"comma-separated sample sizes, each 3 to {_BLOCK_ELEMS}")
+                   help=f"comma-separated sample sizes, each 3 to {BLOCK_ELEMS}")
     w.add_argument("--alphas", type=_float_list, required=True,
                    help="comma-separated levels")
 
@@ -124,6 +125,8 @@ def _methods(choice: str) -> tuple[str, ...]:
 
 
 def _cmd_test(args: argparse.Namespace) -> str:
+    # refuse a bad level before reading the file, however large or missing
+    level(args.alpha)
     spec = IngestSpec(
         path=args.input,
         time_column=args.time_col,
@@ -137,6 +140,8 @@ def _cmd_test(args: argparse.Namespace) -> str:
     if args.method == "jel":
         result = jel_test(ing.sample, alpha=args.alpha)
     else:
+        from .ddk import ddk_test
+
         result = ddk_test(ing.sample, alpha=args.alpha, two_sided=not args.one_sided)
     report = RunReport(
         method=args.method,
@@ -151,6 +156,9 @@ def _cmd_test(args: argparse.Namespace) -> str:
 
 def _cmd_simulate(args: argparse.Namespace) -> str:
     """Run ``simulate`` or ``power``; ``simulate`` is the one-point grid."""
+    from .datagen import FamilyParams
+    from .mc import SimConfig, run, to_csv, to_json
+
     if args.command == "simulate":
         a_grid, n_grid, alphas = (args.a,), (args.n,), args.alpha
     else:

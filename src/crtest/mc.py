@@ -40,6 +40,7 @@ the pool keeps two threads in the parent.
 
 from __future__ import annotations
 
+import atexit
 import json
 import math
 import os
@@ -50,6 +51,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import __version__
+from ._checks import BLOCK_ELEMS as _BLOCK_ELEMS
 from ._checks import flag, integer, items, level, real
 from .datagen import GENERATOR, SEED_SCHEME, FamilyParams, draw, uniform_rows
 from .ddk import _rejects, zstat
@@ -58,10 +61,6 @@ from .specialfn import chisq1_quantile
 from .ustat import jackknife_rows
 
 SCHEMA_VERSION = 2
-
-# Largest R*n stack one task holds: bounds a task's memory whatever the
-# replication count, while keeping numpy's per-call overhead amortised.
-_BLOCK_ELEMS = 1 << 14
 
 _METHOD_ORDER = ("jel", "ddk")
 
@@ -241,6 +240,11 @@ def _drop_pool() -> None:
     _POOL = None
 
 
+# at exit, while the modules the pool uses still stand: collected later, in
+# interpreter teardown, a pool runs a callback into a module already cleared
+atexit.register(_drop_pool)
+
+
 def _pool(workers: int):
     """This process's pool of ``workers`` workers, started on first use.
 
@@ -309,8 +313,6 @@ def run(config: SimConfig, workers: int | None = None) -> SimTable:
                     rejections=rej, used=used, excluded=excluded,
                     hull_violations=hull, newton_iters_max=iters,
                 )
-
-    from . import __version__  # deferred: this module is re-exported by the package root
 
     metadata = {
         "schema_version": SCHEMA_VERSION,

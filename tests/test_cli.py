@@ -118,6 +118,15 @@ def test_missing_file_exits_1(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_bad_alpha_is_refused_before_the_file_is_read(capsys):
+    # the level is checked first: a missing file still reports the bad alpha
+    missing = BASE_TEST_ARGS[:2] + ["/nonexistent/nope.csv"] + BASE_TEST_ARGS[3:]
+    for method in ("jel", "ddk"):
+        assert cli_main(missing + ["--method", method, "--alpha", "1.5"]) == 1
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "error: alpha must be a real number in (0, 1), got 1.5\n")
+
+
 def test_usage_error_exits_2(capsys):
     assert cli_main(["test", "--input", TOY]) == 2
     assert cli_main(["bogus-command"]) == 2
@@ -228,14 +237,35 @@ def test_cli_import_does_not_load_process_pool():
         assert proc.returncode == 0, (module, proc.stderr)
 
 
+def test_cli_test_loads_no_harness():
+    # `crtest test` loads only the statistic path: the jel test leaves the
+    # harness and the ddk test unloaded, the ddk test loads only its module
+    src = str(Path(crtest.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    harness = {"crtest.mc", "crtest.datagen", "crtest.ddk"}
+    for method, wanted in (("jel", set()), ("ddk", {"crtest.ddk"})):
+        code = "\n".join([
+            "import sys",
+            "import crtest.cli",
+            f"args = {BASE_TEST_ARGS + ['--method', method, '--format', 'json']!r}",
+            "assert crtest.cli.cli_main(args) == 0",
+            f"print(sorted(m for m in {sorted(harness)!r} if m in sys.modules), file=sys.stderr)",
+        ])
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["method"] == method
+        assert proc.stderr == f"{sorted(wanted)!r}\n", method
+
+
 def test_module_entry_point_runs_the_cli():
     src = str(Path(crtest.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    entry = [sys.executable, "-m", "crtest.cli"]
-    proc = subprocess.run([*entry, "--version"], env=env, capture_output=True, text=True)
-    assert (proc.returncode, proc.stdout) == (0, f"crtest {crtest.__version__}\n"), proc.stderr
-    proc = subprocess.run([*entry, "test"], env=env, capture_output=True, text=True)
-    assert proc.returncode == 2 and "usage: crtest test" in proc.stderr
+    for module in ("crtest", "crtest.cli"):
+        entry = [sys.executable, "-m", module]
+        proc = subprocess.run([*entry, "--version"], env=env, capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout) == (0, f"crtest {crtest.__version__}\n"), (module, proc.stderr)
+        proc = subprocess.run([*entry, "test"], env=env, capture_output=True, text=True)
+        assert proc.returncode == 2 and "usage: crtest test" in proc.stderr, module
 
 
 # Golden reports: the full stdout of `crtest test` on small CSVs, one per

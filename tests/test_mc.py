@@ -703,13 +703,18 @@ def test_killed_worker_fails_one_run_and_the_next_forks_a_new_pool(monkeypatch):
 
 
 def test_interpreter_with_a_live_pool_exits_cleanly():
-    code = "\n".join([
-        "import os",
-        "os.sched_getaffinity = lambda pid: {0, 1}",
-        "from crtest import FamilyParams, SimConfig, run",
-        "cfg = SimConfig(params=FamilyParams(lam=1.0, p1=0.4, a=1.0, seed=3), n_grid=(10, 20),",
-        "                alpha_grid=(0.05,), a_grid=(1.0,), reps=100)",
-        "assert run(cfg, workers=2).metadata['workers'] == 2",
-    ])
-    proc = run_script(code)
-    assert (proc.returncode, proc.stderr) == (0, "")
+    # the second script keeps crtest.mc alive into interpreter teardown, as
+    # a test runner's references can: a pool collected only then ran a
+    # concurrent.futures callback into an already cleared module
+    for keep in ("", "import crtest.mc; crtest.mc.itself = crtest.mc"):
+        code = "\n".join([
+            "import os",
+            "os.sched_getaffinity = lambda pid: {0, 1}",
+            keep,
+            "from crtest import FamilyParams, SimConfig, run",
+            "cfg = SimConfig(params=FamilyParams(lam=1.0, p1=0.4, a=1.0, seed=3), n_grid=(10, 20),",
+            "                alpha_grid=(0.05,), a_grid=(1.0,), reps=100)",
+            "assert run(cfg, workers=2).metadata['workers'] == 2",
+        ])
+        proc = run_script(code)
+        assert (proc.returncode, proc.stderr) == (0, ""), keep
