@@ -44,6 +44,8 @@ class Sample:
             if not np.all((c == 1) | (c == 2)):
                 raise ValueError("every cause must be 1 or 2")
         c = c.astype(np.int64, copy=False)
+        # -0.0 == 0.0 passes the checks; make it +0.0, as __hash__ reads bytes
+        t += 0.0
         t.flags.writeable = False
         c.flags.writeable = False
         self = object.__new__(cls)

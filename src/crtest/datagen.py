@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from ._checks import integer, real
 from .data import Sample
@@ -66,28 +66,17 @@ _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 
 
-@cache
-def _seed_words():
-    """The class that hands PCG64 one row's precomputed seed words.
+class _Words(ISeedSequence):
+    """A seed sequence whose one state is a row of ``uniform_rows``' words."""
 
-    Built on first use: importing ``numpy.random.bit_generator`` loads all
-    of ``numpy.random``, which ``import crtest`` leaves unloaded.
-    """
-    from numpy.random.bit_generator import ISeedSequence
+    def __init__(self, words: np.ndarray):
+        self.words = words
 
-    class _Words(ISeedSequence):
-        """A seed sequence whose one state is a row of ``uniform_rows``' words."""
-
-        def __init__(self, words: np.ndarray):
-            self.words = words
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            # PCG64 asks for exactly this; anything else would re-stream silently
-            if n_words != 4 or dtype is not np.uint64:
-                raise ValueError(f"seed words are 4 uint64, not {n_words} {dtype!r}")
-            return self.words
-
-    return _Words
+    def generate_state(self, n_words, dtype=np.uint32):
+        # PCG64 asks for exactly this; anything else would re-stream silently
+        if n_words != 4 or dtype is not np.uint64:
+            raise ValueError(f"seed words are 4 uint64, not {n_words} {dtype!r}")
+        return self.words
 
 
 def _word_count(x: int) -> int:
@@ -134,9 +123,9 @@ def uniform_rows(seed: int, key: tuple[int, ...], rep_lo: int, rep_hi: int, widt
     words = (state[0::2] | state[1::2] << 32).T.copy()
 
     out = np.empty((rep_hi - rep_lo, width))
-    Words, PCG64, Generator = _seed_words(), np.random.PCG64, np.random.Generator
+    PCG64, Generator = np.random.PCG64, np.random.Generator
     for row, w in zip(out, words):
-        Generator(PCG64(Words(w))).random(out=row)
+        Generator(PCG64(_Words(w))).random(out=row)
     return out
 
 

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -68,13 +67,6 @@ def ddk_z(sample: Sample) -> tuple[float, float, float]:
     return zstat(d_hat, p1_hat, n), p1_hat, d_hat
 
 
-@lru_cache(maxsize=8)
-def _critical_z(alphas: tuple[float, ...], two_sided: bool) -> tuple[float, ...]:
-    # cached: every task of a harness run asks for the same levels, and each
-    # quantile is a root search
-    return tuple(normal_quantile(1.0 - (al / 2.0 if two_sided else al)) for al in alphas)
-
-
 def _rejects(z, alphas: tuple[float, ...], two_sided: bool) -> np.ndarray:
     """The decision rule at each level of ``alphas``, along a new last axis.
 
@@ -83,7 +75,7 @@ def _rejects(z, alphas: tuple[float, ...], two_sided: bool) -> np.ndarray:
     an array of z values.
     """
     side = np.abs(z) if two_sided else np.asarray(z)
-    return side[..., None] > _critical_z(alphas, two_sided)
+    return side[..., None] > [normal_quantile(1.0 - (al / 2.0 if two_sided else al)) for al in alphas]
 
 
 @dataclass(frozen=True)

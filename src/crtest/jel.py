@@ -237,11 +237,10 @@ def jel_test(sample: Sample, alpha: float = 0.05) -> JelTestResult:
     alpha = level(alpha)
     jk = jackknife(sample)
     stat, hull_ok, degenerate, el = jel_statistic(jk.pseudo_values)
-    p_value = chisq1_sf(stat) if hull_ok else 0.0
     reject = stat > chisq1_quantile(1.0 - alpha)
     return JelTestResult(
         statistic=stat,
-        p_value=p_value,
+        p_value=chisq1_sf(stat),
         reject=reject,
         alpha=alpha,
         delta_hat=jk.delta_hat,

@@ -47,7 +47,6 @@ import os
 import threading
 import time
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -174,16 +173,6 @@ def _resolve_workers(workers: int | None) -> int:
     return min(workers or cpus, cpus)
 
 
-@lru_cache(maxsize=8)
-def _thresholds(alpha_grid: tuple[float, ...]) -> tuple[float, ...]:
-    """Per-alpha critical values of the jel statistic.
-
-    Cached because every task of a run needs the same ones and each
-    quantile is a root search.
-    """
-    return tuple(chisq1_quantile(1.0 - al) for al in alpha_grid)
-
-
 def _run_block(config: SimConfig, a_idx: int, n_idx: int, rep_lo: int, rep_hi: int) -> np.ndarray:
     """Tallies of replications ``rep_lo..rep_hi`` of one (a, n) cell.
 
@@ -202,7 +191,8 @@ def _run_block(config: SimConfig, a_idx: int, n_idx: int, rep_lo: int, rep_hi: i
     tallies = []
     if "jel" in config.methods:
         stat, degenerate, iterations, _, _ = jel_statistics(pseudo)
-        rejections = (stat[~degenerate, None] > _thresholds(config.alpha_grid)).sum(axis=0)
+        thresholds = [chisq1_quantile(1.0 - al) for al in config.alpha_grid]
+        rejections = (stat[~degenerate, None] > thresholds).sum(axis=0)
         tallies.append([*rejections, degenerate.sum(), np.isinf(stat).sum(), iterations.max()])
     if "ddk" in config.methods:
         p1_hat = (causes == 1).sum(axis=1) / n
@@ -257,11 +247,6 @@ def _pool(workers: int):
     # deferred: the pool machinery costs start-up time and memory that
     # one-worker runs and the other commands never use
     from concurrent.futures import ProcessPoolExecutor
-
-    # numpy loads numpy.random lazily; importing it before the fork lets
-    # forked workers inherit it instead of each importing it in its first
-    # task (spawned or forkserver workers import it themselves)
-    import numpy.random  # noqa: F401
 
     _POOL = (workers, ProcessPoolExecutor(max_workers=workers))
     return _POOL[1]

@@ -3,14 +3,16 @@
 Built directly on libm's erf/erfc, which are accurate to a few ulps — far
 inside the 1e-12 absolute error this package needs.  The chi-square pieces
 use the df=1 identity P(X <= x) = erf(sqrt(x/2)); no incomplete-gamma code.
-The normal quantile inverts the CDF by plain bisection (monotone, bounded,
-and cheap at the call rates seen here); the chi-square(1) quantile is the
-square of a normal quantile.
+The normal quantile inverts the CDF by plain bisection (monotone and
+bounded), cached per probability because every harness task asks again for
+the same few levels; the chi-square(1) quantile is the square of a normal
+quantile.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 from .errors import DomainError
 
@@ -31,6 +33,11 @@ def normal_quantile(p: float) -> float:
     """Inverse of ``normal_cdf`` on (0, 1)."""
     if not 0.0 < p < 1.0:
         raise DomainError(f"normal_quantile needs 0 < p < 1, got {p!r}")
+    return _bisect_normal_cdf(float(p))
+
+
+@lru_cache(maxsize=64)
+def _bisect_normal_cdf(p: float) -> float:
     lo, hi = -40.0, 40.0
     for _ in range(100):
         mid = 0.5 * (lo + hi)

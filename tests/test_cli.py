@@ -235,6 +235,23 @@ def test_cli_import_does_not_load_process_pool():
                 "assert not loaded, loaded; assert 'numpy.random' not in sys.modules")
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
         assert proc.returncode == 0, (module, proc.stderr)
+    # the harness loads numpy.random when imported, and the pool machinery
+    # only when a run uses more than one worker
+    code = "\n".join([
+        "import sys",
+        "import crtest.mc",
+        "def pool_modules():",
+        "    return [m for m in sys.modules if m.startswith('concurrent.futures')]",
+        "assert 'numpy.random' in sys.modules",
+        "assert not pool_modules(), pool_modules()",
+        "from crtest import FamilyParams, SimConfig, run",
+        "cfg = SimConfig(params=FamilyParams(lam=1.0, p1=0.4, a=1.0, seed=3), n_grid=(10,),",
+        "                alpha_grid=(0.05,), a_grid=(1.0,), reps=100)",
+        "assert run(cfg, workers=1).metadata['workers'] == 1",
+        "assert not pool_modules(), pool_modules()",
+    ])
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_cli_test_loads_no_harness():

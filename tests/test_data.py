@@ -15,8 +15,10 @@ def test_sample_from_observations_keeps_order():
 
 
 def test_sample_from_int_and_float_arrays_is_one_sample():
-    a = Sample.from_arrays([1.0, 2.0], [1, 2])
-    for times, causes in [([1, 2], [1.0, 2.0]), (np.array([1, 2], np.uint8), np.array([1, 2]))]:
+    # -0.0 passes the time check and equals 0.0, so it must hash alike too
+    a = Sample.from_arrays([0.0, 2.0], [1, 2])
+    for times, causes in [([0, 2], [1.0, 2.0]), (np.array([0, 2], np.uint8), np.array([1, 2])),
+                          ([-0.0, 2.0], [1, 2])]:
         b = Sample.from_arrays(times, causes)
         assert a == b
         assert hash(a) == hash(b)

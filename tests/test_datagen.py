@@ -6,7 +6,7 @@ import pytest
 
 from crtest import FamilyParams, rng_from_seed, sample, true_delta
 from crtest.datagen import (
-    _seed_words,
+    _Words,
     baseline_cdf,
     cause1_probability,
     draw,
@@ -105,7 +105,7 @@ def test_seed_words_refuse_other_requests():
     # PCG64 seeds itself with generate_state(4, uint64); any other request
     # means numpy changed how it seeds, and must not quietly re-stream
     words = np.arange(4, dtype=np.uint64)
-    seq = _seed_words()(words)
+    seq = _Words(words)
     assert seq.generate_state(4, np.uint64) is words
     for n_words, dtype in [(2, np.uint64), (8, np.uint64), (4, np.uint32), (4, np.int64),
                            (4, np.dtype(np.uint64)), (4, "uint64")]:

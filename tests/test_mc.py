@@ -529,7 +529,7 @@ def test_pool_workers_start_with_numpy_random_loaded():
         "os.sched_getaffinity = lambda pid: {0, 1}",
         "import crtest.mc",
         "from crtest import FamilyParams, SimConfig, run",
-        "assert 'numpy.random' not in sys.modules",
+        "assert 'numpy.random' in sys.modules",
         "run_block = crtest.mc._run_block",
         "def cold_guard(*args):",
         "    if 'numpy.random' not in sys.modules:",

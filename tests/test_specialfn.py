@@ -5,9 +5,17 @@ import pytest
 from scipy import stats
 
 from crtest import DomainError, chisq1_cdf, chisq1_quantile, chisq1_sf, normal_cdf, normal_quantile
-from crtest.specialfn import normal_sf
+from crtest.specialfn import _bisect_normal_cdf, normal_sf
 
 from oracles import CHISQ1_Q95, CHISQ1_Q99
+
+# the exact critical values the tests use, per alpha: chisq1_quantile(1 - alpha)
+# for jel, normal_quantile(1 - alpha/2) and normal_quantile(1 - alpha) for ddk
+CRITICAL_HEX = {
+    0.01: ("0x1.a8a2255a6e90ep+2", "0x1.49b4c64d69158p+1", "0x1.29c5c4630ff0ap+1"),
+    0.05: ("0x1.ebb4ec31e7ef0p+1", "0x1.f5c0331eeff80p+0", "0x1.a515209676ab8p+0"),
+    0.1: ("0x1.5a4f3f769f92cp+1", "0x1.a515209676ab8p+0", "0x1.4813c36e26d32p+0"),
+}
 
 
 def test_normal_cdf_points():
@@ -47,6 +55,28 @@ def test_normal_quantile_domain():
     for bad in (0.0, 1.0, -0.2, 1.5):
         with pytest.raises(DomainError):
             normal_quantile(bad)
+
+
+def test_critical_values_are_pinned():
+    # a float, a numpy scalar and a 0-d array give the same bits
+    for alpha, pinned in CRITICAL_HEX.items():
+        for as_p in (float, np.float64, np.array):
+            got = (chisq1_quantile(as_p(1.0 - alpha)), normal_quantile(as_p(1.0 - alpha / 2.0)),
+                   normal_quantile(as_p(1.0 - alpha)))
+            assert all(type(x) is float for x in got), (alpha, as_p)
+            assert tuple(x.hex() for x in got) == pinned, (alpha, as_p)
+
+
+def test_quantiles_refuse_bad_p_before_the_cache():
+    misses = _bisect_normal_cdf.cache_info().misses
+    for quantile in (normal_quantile, chisq1_quantile):
+        for bad in (0.0, 1.0, math.nan, np.float64(math.nan), np.array(1.0)):
+            with pytest.raises(DomainError):
+                quantile(bad)
+        for bad in ("0.5", "nan"):
+            with pytest.raises(TypeError):
+                quantile(bad)
+    assert _bisect_normal_cdf.cache_info().misses == misses
 
 
 def test_chisq1_cdf_sf_complementary():
