@@ -183,6 +183,8 @@ def cli_main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         if args.command == "test" and args.one_sided and args.method != "ddk":
             parser.error("--one-sided applies to --method ddk only")
+        if args.command != "test" and args.ddk_one_sided and args.method == "jel":
+            parser.error("--ddk-one-sided applies to --method ddk or both only")
     except SystemExit as exc:  # argparse handles --help and usage errors
         return int(exc.code or 0)
     try:

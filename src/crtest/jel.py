@@ -24,11 +24,27 @@ degenerate (all zero), a hull violation (0 not strictly inside its range) or
 solved.  It serves the Monte Carlo harness a whole block at a time;
 ``jel_statistic`` is its one-row case and ``solve_lambda`` that case at a
 shifted mean, so the single-sample API and the harness run the same code.
+
+The harness only asks which side of each chi-square quantile a statistic
+falls on, so it passes those quantiles as thresholds and a row stops as
+soon as that is settled (ROADMAP, open item 2).  With
+f(lam) = sum(log(1 + lam*d_i)), concave with slope n*score and its maximum
+at the root, the statistic T = 2*f(root) satisfies, at an iterate lam
+inside the bracket [lo, hi] that holds the root,
+
+    L = 2*f(lam) <= T <= L + 2*n*score(lam)*(hi - lam if score > 0 else lo - lam) = U.
+
+A row is decided once no threshold q lies in [L - m, U + m], where the
+margin m = 1e-9 * max(1, max q) absorbs the rounding of both bounds; it
+then reports L, which is on the same side of every q as T.  Rows that are
+not decided are solved to the tolerance as without thresholds, and with no
+thresholds nothing changes.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +57,9 @@ from .ustat import jackknife
 
 _TOL = 1e-10
 _MAX_ITER = 100
+# a row is decided only with every threshold this far (relative to the
+# largest, at least 1) outside its bounds, which absorbs their rounding
+_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -59,13 +78,21 @@ class ElSolution:
     residual: float
 
 
-def _newton_rows(d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _newton_rows(
+    d: np.ndarray, thresholds: Sequence[float] = ()
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Solve the score equation for every row of ``d`` (R, n) at once.
 
     Each row must have min < 0 < max.  Returns per-row ``(lam, iterations,
-    residual)``.  A row leaves the active set once its absolute score drops
-    to the tolerance; every row follows exactly the steps a one-row call
-    would take, so stacking never changes a result.  Raises
+    residual, lower)``.  A row leaves the active set once its absolute score
+    drops to the tolerance; every row follows exactly the steps a one-row
+    call would take, so stacking never changes a result.
+
+    With ``thresholds``, a row also leaves once the concave-dual bounds put
+    its statistic on a known side of every threshold (see the module
+    docstring), with its residual still above the tolerance; ``lower`` is
+    then 2*f(lam) at each row's last iterate, the lower bound (0 without
+    thresholds).  Raises
     :class:`NoConvergence` if any row is still active after the iteration
     cap.
     """
@@ -78,23 +105,41 @@ def _newton_rows(d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     lam = np.zeros(r)
     iterations = np.zeros(r, dtype=np.int64)
     residual = np.empty(r)
+    lower = np.zeros(r)
+    # a threshold q keeps a row open while L <= q + m and q - m <= U
+    qs = np.sort(np.asarray(thresholds, dtype=np.float64))
+    margin = _MARGIN * max([1.0, *thresholds])
+    q_up, q_down = qs + margin, qs - margin
     # the active rows: their index, pseudo-values, q = d/(1 + lam*d), score
-    # mean(q), multiplier and bracket
+    # mean(q), multiplier, bracket and L = 2*f(lam), which is 0 at lam = 0
     rows, da, q, la = np.arange(r), d, d, np.zeros(r)
     ga = np.add.reduce(d, axis=1) / n
+    fa = np.zeros(r)
     step = 0
     with np.errstate(divide="ignore", invalid="ignore"):
         while True:
-            left = np.abs(ga) > _TOL
+            # the root lies on the side of la that the score's sign points to
+            pos = ga > 0.0
+            lo = np.where(pos, la, lo)
+            hi = np.where(pos, hi, la)
+            ag = np.abs(ga)
+            left = ag > _TOL
+            if q_up.size:
+                # one end of the updated bracket is la, so U in the module
+                # docstring is L + 2n*|ga|*(hi - lo)
+                upper = fa + 2.0 * n * ag * (hi - lo)
+                left &= q_up.searchsorted(fa) < q_down.searchsorted(upper, side="right")
             active = np.count_nonzero(left)
             if active < rows.size:
                 done = ~left
-                lam[rows[done]] = la[done]
-                residual[rows[done]] = np.abs(ga[done])
-                iterations[rows[done]] = step
+                idx = rows[done]
+                lam[idx] = la[done]
+                residual[idx] = ag[done]
+                iterations[idx] = step
+                lower[idx] = fa[done]
                 if not active:
-                    return lam, iterations, residual
-                rows, da, q, ga = rows[left], da[left], q[left], ga[left]
+                    return lam, iterations, residual, lower
+                rows, da, q, ga, fa = rows[left], da[left], q[left], ga[left], fa[left]
                 la, lo, hi = la[left], lo[left], hi[left]
             if step == _MAX_ITER:
                 raise NoConvergence(
@@ -102,15 +147,16 @@ def _newton_rows(d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
                     f"(tol {_TOL:g}) in {rows.size} of {r} rows"
                 )
             step += 1
-            pos = ga > 0.0
-            lo = np.where(pos, la, lo)
-            hi = np.where(pos, hi, la)
             # the score's slope is -mean(q*q); a NaN or infinite Newton step
             # fails the bracket test and falls back to bisection
             nxt = la + ga / (np.add.reduce(q * q, axis=1) / n)
             la = np.where((lo < nxt) & (nxt < hi), nxt, 0.5 * (lo + hi))
-            q = da / (1.0 + la[:, None] * da)
+            w = la[:, None] * da
+            w += 1.0
+            q = da / w
             ga = np.add.reduce(q, axis=1) / n
+            if q_up.size:
+                fa = 2.0 * np.add.reduce(np.log(w, out=w), axis=1)
 
 
 def _log_ratio(ld: np.ndarray) -> np.ndarray:
@@ -120,7 +166,7 @@ def _log_ratio(ld: np.ndarray) -> np.ndarray:
 
 
 def jel_statistics(
-    pseudo_values: np.ndarray,
+    pseudo_values: np.ndarray, thresholds: Sequence[float] = ()
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """:func:`jel_statistic` over each row of an (R, n) pseudo-value stack.
 
@@ -129,6 +175,13 @@ def jel_statistics(
     degenerate, with statistic 0; a row without 0 strictly inside its
     (min, max) is a hull violation, with statistic +inf; both get lam 0,
     residual 0 and 0 iterations.  The remaining rows are solved together.
+
+    ``thresholds`` is for the Monte Carlo harness, which only asks which side
+    of each one a statistic lies on.  A row whose bounds settle that before
+    it converges stops there: its statistic is a lower bound on the solved
+    one, on the same side of every threshold, and its iterations, lam and
+    residual are those of the step that decided it.  Other rows are solved
+    as without thresholds.
     """
     v = pseudo_values
     r = v.shape[0]
@@ -139,9 +192,11 @@ def jel_statistics(
     rows = np.flatnonzero((v.min(axis=1) < 0.0) & (v.max(axis=1) > 0.0))
     if rows.size:
         d = v[rows]
-        lam[rows], iterations[rows], residual[rows] = _newton_rows(d)
+        lam[rows], iterations[rows], residual[rows], stat[rows] = _newton_rows(d, thresholds)
+        solved = residual[rows] <= _TOL
+        s = rows[solved]
         # 0.0 - x rather than -x, so a log ratio of 0 gives +0.0, not -0.0
-        stat[rows] = 0.0 - 2.0 * _log_ratio(lam[rows, None] * d)
+        stat[s] = 0.0 - 2.0 * _log_ratio(lam[s, None] * d[solved])
     return stat, degenerate, iterations, lam, residual
 
 

@@ -14,16 +14,21 @@ generator would draw; the task's samples are then scored, jackknifed and
 tested together (``ustat.jackknife_rows``, ``jel.jel_statistics``,
 ``ddk.zstat``).  A task holds at most ``_BLOCK_ELEMS`` values, so memory
 does not grow with the replication count.  Every row gives the same
-numbers as the single-sample API.
+decisions as the single-sample API.
 
 Replications where a method's statistic is undefined (every pseudo-value
 zero for the empirical-likelihood test, a single observed cause for the
 normal-calibrated test) are excluded from that method's denominator and
 tallied in ``SimCell.excluded`` instead of failing the run.  Replications
 where 0 lies outside the pseudo-value hull get an infinite ``jel`` statistic,
-count as rejections, and are tallied in ``SimCell.hull_violations``;
-``newton_iters_max`` is the most Newton steps any of the cell's ``jel``
-solves took.
+count as rejections, and are tallied in ``SimCell.hull_violations``.
+``jel_statistics`` gets the alphas' chi-square quantiles as thresholds and
+stops a row once its concave-dual bounds L <= T <= U (see :mod:`crtest.jel`)
+leave every quantile more than the margin 1e-9 * max(1, largest quantile)
+outside [L, U], which decides every rejection as the full solve would
+(ROADMAP, open item 2).  So ``newton_iters_max`` (schema 3) is the most
+Newton steps any of the cell's rows took to its decision, not to
+convergence.
 
 Runs on more than one worker share one process pool per process, started
 by the first such run and reused until the interpreter exits, a run asks
@@ -59,7 +64,7 @@ from .jel import jel_statistics
 from .specialfn import chisq1_quantile
 from .ustat import jackknife_rows
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 _METHOD_ORDER = ("jel", "ddk")
 
@@ -182,7 +187,7 @@ def _run_block(config: SimConfig, a_idx: int, n_idx: int, rep_lo: int, rep_hi: i
     ``sample()`` would give; the rows are jackknifed and tested as one
     stack.  Returns one integer row per requested method, in
     ``_METHOD_ORDER``: rejections per alpha, then excluded, hull violations
-    and the most Newton steps.
+    and the most Newton steps to a decision.
     """
     a, n = config.a_grid[a_idx], config.n_grid[n_idx]
     params = FamilyParams(lam=config.params.lam, p1=config.params.p1, a=a, seed=config.params.seed)
@@ -190,8 +195,8 @@ def _run_block(config: SimConfig, a_idx: int, n_idx: int, rep_lo: int, rep_hi: i
     d_hat, pseudo = jackknife_rows(times, causes)
     tallies = []
     if "jel" in config.methods:
-        stat, degenerate, iterations, _, _ = jel_statistics(pseudo)
         thresholds = [chisq1_quantile(1.0 - al) for al in config.alpha_grid]
+        stat, degenerate, iterations, _, _ = jel_statistics(pseudo, thresholds)
         rejections = (stat[~degenerate, None] > thresholds).sum(axis=0)
         tallies.append([*rejections, degenerate.sum(), np.isinf(stat).sum(), iterations.max()])
     if "ddk" in config.methods:

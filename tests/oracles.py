@@ -151,7 +151,7 @@ def random_tc(rng, n: int, with_ties: bool = False):
 
 # --- scalar empirical-likelihood solve ---------------------------------------
 
-def scalar_solve_lambda(d, tol: float = 1e-10, max_iter: int = 100):
+def scalar_solve_lambda(d, tol: float = 1e-10, max_iter: int = 100, thresholds=()):
     """One-sample safeguarded Newton solve of the EL score equation at 0.
 
     The package's solver before it was vectorised over rows, kept step for
@@ -159,16 +159,31 @@ def scalar_solve_lambda(d, tol: float = 1e-10, max_iter: int = 100):
     bisection fallback, Python-float scalars throughout.  ``d`` must have
     min < 0 < max.  Returns ``(lam, iterations, residual, statistic)``, or
     None when the cap is hit unconverged.
+
+    With ``thresholds``, the solve also stops at the first iterate whose
+    bounds [low, high] leave every threshold t with t + m < low or
+    t - m > high, m = 1e-9 * max(1, max threshold), and returns low as the
+    statistic.  f(lam) = sum(log(1 + lam*d)) is concave and the statistic is
+    2 f at the root, so low = 2 f(lam) and high = low + 2 f'(lam) * (end -
+    lam), where end is the bracket end on the side the score points to.
     """
     d = np.asarray(d, dtype=np.float64)
     n = d.size
     lo = (1.0 / n - 1.0) / float(d.max())
     hi = (1.0 / n - 1.0) / float(d.min())
+    margin = 1e-9 * max([1.0, *thresholds])
     lam = 0.0
     q = d
     g = float(np.mean(q))
+    low = 0.0
     iterations = 0
-    while abs(g) > tol and iterations < max_iter:
+    while abs(g) > tol:
+        if thresholds:
+            high = low + 2.0 * n * g * ((hi if g > 0.0 else lo) - lam)
+            if not any(low <= t + margin and t - margin <= high for t in thresholds):
+                return lam, iterations, abs(g), low
+        if iterations == max_iter:
+            return None
         iterations += 1
         if g > 0.0:
             lo = lam
@@ -178,10 +193,10 @@ def scalar_solve_lambda(d, tol: float = 1e-10, max_iter: int = 100):
         if not (lo < nxt < hi) or not math.isfinite(nxt):
             nxt = 0.5 * (lo + hi)
         lam = nxt
-        q = d / (1.0 + lam * d)
+        w = 1.0 + lam * d
+        q = d / w
         g = float(np.mean(q))
-    if abs(g) > tol:
-        return None
+        low = 2.0 * float(np.sum(np.log(w)))
     log_ratio = min(0.0, -float(np.sum(np.log1p(lam * d))))
     # subtracting from 0.0 reports a zero statistic as +0.0, not -0.0
     return lam, iterations, abs(g), 0.0 - 2.0 * log_ratio

@@ -51,6 +51,19 @@ def test_one_sided_is_for_ddk_only(capsys):
         assert out == "" and "--one-sided applies to --method ddk only" in err
 
 
+def test_ddk_one_sided_is_for_ddk_cells_only(capsys):
+    # a jel-only table has no ddk cell, so the flag would be silently ignored
+    for command in (["simulate", "--a", "1.0", "--n", "10"],
+                    ["power", "--a-grid", "1.0", "--n-grid", "10", "--alphas", "0.05"]):
+        args = command + ["--p1", "0.4", "--reps", "100", "--seed", "4", "--ddk-one-sided"]
+        assert cli_main(args + ["--method", "jel"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "--ddk-one-sided applies to --method ddk or both only" in err
+        for method in ("ddk", "both"):
+            assert cli_main(args + ["--method", method]) == 0
+            assert capsys.readouterr().out.count("\nddk,") == 1
+
+
 def test_out_file(tmp_path, capsys):
     dest = tmp_path / "report.json"
     code = cli_main(BASE_TEST_ARGS + ["--format", "json", "--out", str(dest)])

@@ -9,6 +9,7 @@ from crtest import (
     NoConvergence,
     Sample,
     SampleTooSmall,
+    chisq1_quantile,
     chisq1_sf,
     jackknife,
     jel_statistic,
@@ -288,3 +289,81 @@ def test_iteration_cap_raises_no_convergence(monkeypatch):
         solve_lambda(v, 0.0)
     with pytest.raises(NoConvergence):
         jel_statistics(np.array([[-1.0, 1.0, 1.0], [-1.0, 0.5, 2.0]]))
+
+
+Q95, Q99 = chisq1_quantile(0.95), chisq1_quantile(0.99)
+
+
+def shifted_to(v, target):
+    """``v - delta0`` whose solved statistic is ``target``, up to rounding.
+
+    The statistic is 0 at delta0 = mean(v) and rises to +inf at max(v), so
+    delta0 is bisected between the two.
+    """
+    lo, hi = float(v.mean()), float(v.max())
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return min((v - lo, v - hi), key=lambda row: abs(jel_statistic(row)[0] - target))
+        if jel_statistic(v - mid)[0] < target:
+            lo = mid
+        else:
+            hi = mid
+
+
+def decision_stack():
+    """Seeded pseudo-value rows: tied times, unbalanced causes (hull and
+    degenerate rows), and rows whose statistic lies within 1e-12 and 1e-8
+    above and below 3.84 and 6.63."""
+    rng = np.random.default_rng(71)
+    parts = []
+    for n, with_ties in ((5, True), (20, True), (20, False), (50, True), (120, False)):
+        pairs = [random_tc(rng, n, with_ties=with_ties) for _ in range(60)]
+        times = np.array([t for t, _ in pairs])
+        causes = np.array([c for _, c in pairs])
+        causes[::3] = np.where(rng.random((20, n)) < 0.08, 1, 2)
+        parts.append(jackknife_rows(times, causes)[1])
+    v = parts[2][np.flatnonzero((parts[2].min(axis=1) < 0) & (parts[2].max(axis=1) > 0))[0]]
+    near = np.array([shifted_to(v, q + eps) for q in (Q95, Q99)
+                     for eps in (1e-12, -1e-12, 1e-8, -1e-8)])
+    # the rows tie the statistic to the threshold within twice eps, on eps's side
+    gaps = jel_statistics(near)[0] - np.repeat([Q95, Q99], 4)
+    assert np.all(gaps * np.tile([1, -1], 4) > 0)
+    assert np.all(np.abs(gaps) < 2 * np.tile([1e-12, 1e-12, 1e-8, 1e-8], 2))
+    return parts, near
+
+
+@pytest.mark.parametrize("thresholds", [(Q99, Q95), (Q95,), (Q95, chisq1_quantile(0.9), Q99)])
+def test_threshold_decisions_match_the_full_solve(thresholds):
+    parts, near = decision_stack()
+    decided_rows = 0
+    for pseudo in (*parts, near):
+        full = jel_statistics(pseudo, ())
+        stat, degenerate, iterations, lam, residual = jel_statistics(pseudo, thresholds)
+        assert np.array_equal(stat[:, None] > thresholds, full[0][:, None] > thresholds)
+        assert np.array_equal(degenerate, full[1])
+        assert np.array_equal(np.isinf(stat), np.isinf(full[0]))
+        assert np.all(stat <= full[0]) and np.all(iterations <= full[2])
+        for i in np.flatnonzero(np.isfinite(stat) & ~degenerate):
+            # no thresholds is the solver kept step for step, bit for bit
+            ref = scalar_solve_lambda(pseudo[i])
+            assert np.array([full[0][i], full[3][i], full[4][i]]).tobytes() == np.array(
+                [ref[3], ref[0], ref[2]]).tobytes()
+            assert full[2][i] == ref[1]
+            ref = scalar_solve_lambda(pseudo[i], thresholds=thresholds)
+            assert np.array([stat[i], lam[i], residual[i]]).tobytes() == np.array(
+                [ref[3], ref[0], ref[2]]).tobytes()
+            assert iterations[i] == ref[1]
+            if residual[i] > 1e-10:
+                decided_rows += 1
+                # a decided row is off every threshold by more than the margin,
+                # and one decided before any step reports the bound 2*f(0) = 0
+                assert np.all(np.abs(full[0][i] - np.array(thresholds)) > 1e-9)
+                assert iterations[i] or stat[i] == 0.0
+    assert decided_rows > 100
+    # statistics within 1e-12 of a threshold are never decided early
+    stat, _, iterations, _, _ = jel_statistics(near, thresholds)
+    full = jel_statistics(near)
+    on_q = np.isin(np.repeat([Q95, Q99], 4), thresholds) & np.tile([1, 1, 0, 0], 2).astype(bool)
+    assert on_q.any() and stat[on_q].tobytes() == full[0][on_q].tobytes()
+    assert np.array_equal(iterations[on_q], full[2][on_q])
