@@ -7,6 +7,8 @@ array value, and raises ``ValueError`` for anything it does not accept.
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 
 # Largest R*n stack one harness task holds, and so the largest sample size
@@ -51,8 +53,15 @@ def reals(values, name: str) -> np.ndarray:
 
 
 def level(value, name: str = "alpha") -> float:
-    """A significance level: a real scalar strictly inside (0, 1)."""
-    return real(value, name, 0.0, 1.0, "()")
+    """A significance level: a real scalar in [2**-52, 1).
+
+    Below 2**-52, 1 - alpha rounds to 1, where the critical values'
+    quantile functions are undefined.
+    """
+    x = real(value, name, 0.0, 1.0, "()")
+    if x < sys.float_info.epsilon:
+        raise ValueError(f"{name} must be at least 2**-52, got {value!r}")
+    return x
 
 
 def integer(value, name: str, lo: int = 0, hi: int | None = None, what: str | None = None) -> int:

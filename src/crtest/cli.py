@@ -1,10 +1,12 @@
 """Command line interface.
 
-Three subcommands:
+Two subcommands:
 
-* ``test``      — run one independence test on a CSV file
-* ``simulate``  — rejection rate for a single parameter cell
-* ``power``     — rejection-rate table over (a, n, alpha) grids
+* ``test``   — run one independence test on a CSV file
+* ``power``  — rejection-rate table over (a, n, alpha) grids; ``simulate``
+  is its one-cell name, where ``--a`` stands for ``--a-grid`` and
+  ``--n`` and ``--alpha`` abbreviate ``--n-grid`` and ``--alphas``, so
+  ``simulate`` takes comma-separated lists too
 
 Exit codes: 0 success, 1 data or numeric error, 2 usage error.
 
@@ -35,18 +37,14 @@ def _labels(text: str) -> frozenset[str]:
     return out
 
 
-def _float_list(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(part) for part in text.split(",") if part.strip())
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
-
-
-def _int_list(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in text.split(",") if part.strip())
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+def _list(kind, what: str):
+    """An argparse type: comma-separated ``kind`` values, as a tuple."""
+    def parse(text: str) -> tuple:
+        try:
+            return tuple(kind(part) for part in text.split(",") if part.strip())
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected comma-separated {what}, got {text!r}")
+    return parse
 
 
 def _column(text: str) -> str | int:
@@ -84,40 +82,30 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--format", choices=("text", "json"), default="text")
     t.add_argument("--out", help="write the report here instead of stdout")
 
-    s = sub.add_parser("simulate", help="rejection rate for one parameter cell")
-    _sim_common(s)
-    s.add_argument("--a", type=float, required=True, help="dependence parameter in [1, 2]")
-    s.add_argument("--n", type=int, required=True,
-                   help=f"sample size per replication, 3 to {BLOCK_ELEMS}")
-    s.add_argument("--alpha", type=_float_list, default=(0.05,),
-                   help="level(s), comma-separated (default 0.05)")
-
-    w = sub.add_parser("power", help="rejection-rate table over (a, n, alpha) grids")
-    _sim_common(w)
-    w.add_argument("--a-grid", type=_float_list, required=True,
+    w = sub.add_parser("power", aliases=["simulate"],
+                       help="rejection-rate table over (a, n, alpha) grids; "
+                       "simulate is its name for one cell")
+    w.add_argument("--a-grid", "--a", type=_list(float, "numbers"), required=True,
                    help="comma-separated dependence parameters in [1, 2]")
-    w.add_argument("--n-grid", type=_int_list, required=True,
+    w.add_argument("--n-grid", type=_list(int, "integers"), required=True,
                    help=f"comma-separated sample sizes, each 3 to {BLOCK_ELEMS}")
-    w.add_argument("--alphas", type=_float_list, required=True,
-                   help="comma-separated levels")
+    w.add_argument("--alphas", type=_list(float, "numbers"), default=(0.05,),
+                   help="comma-separated levels (default 0.05)")
+    w.add_argument("--lambda", dest="lam", type=float, default=1.0,
+                   help="exponential baseline rate (default 1.0)")
+    w.add_argument("--p1", type=float, required=True, help="cause-1 mass in [0, 0.5]")
+    w.add_argument("--reps", type=int, default=2000,
+                   help="replications, >= 100 (default 2000; table-scale runs use 10000)")
+    w.add_argument("--seed", type=int, required=True, help="master seed")
+    w.add_argument("--method", choices=("jel", "ddk", "both"), default="both")
+    w.add_argument("--ddk-one-sided", action="store_true",
+                   help="upper-tail ddk decision in the table (default is two-sided)")
+    w.add_argument("--workers", type=int, default=None,
+                   help="worker processes (default: CRTEST_THREADS, 0 = auto)")
+    w.add_argument("--format", choices=("csv", "json"), default="csv")
+    w.add_argument("--out", help="write the table here instead of stdout")
 
     return parser
-
-
-def _sim_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--lambda", dest="lam", type=float, default=1.0,
-                   help="exponential baseline rate (default 1.0)")
-    p.add_argument("--p1", type=float, required=True, help="cause-1 mass in [0, 0.5]")
-    p.add_argument("--reps", type=int, default=2000,
-                   help="replications, >= 100 (default 2000; table-scale runs use 10000)")
-    p.add_argument("--seed", type=int, required=True, help="master seed")
-    p.add_argument("--method", choices=("jel", "ddk", "both"), default="both")
-    p.add_argument("--ddk-one-sided", action="store_true",
-                   help="upper-tail ddk decision in the table (default is two-sided)")
-    p.add_argument("--workers", type=int, default=None,
-                   help="worker processes (default: CRTEST_THREADS, 0 = auto)")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--out", help="write the table here instead of stdout")
 
 
 def _methods(choice: str) -> tuple[str, ...]:
@@ -154,21 +142,17 @@ def _cmd_test(args: argparse.Namespace) -> str:
     return report.to_json() if args.format == "json" else report.to_text()
 
 
-def _cmd_simulate(args: argparse.Namespace) -> str:
-    """Run ``simulate`` or ``power``; ``simulate`` is the one-point grid."""
+def _cmd_power(args: argparse.Namespace) -> str:
+    """Run ``power``, also when called by its one-cell name ``simulate``."""
     from .datagen import FamilyParams
     from .mc import SimConfig, run, to_csv, to_json
 
-    if args.command == "simulate":
-        a_grid, n_grid, alphas = (args.a,), (args.n,), args.alpha
-    else:
-        a_grid, n_grid, alphas = args.a_grid, args.n_grid, args.alphas
     config = SimConfig(
         # a is a placeholder: the run takes it from a_grid, cell by cell
         params=FamilyParams(lam=args.lam, p1=args.p1, a=1.0, seed=args.seed),
-        n_grid=n_grid,
-        alpha_grid=alphas,
-        a_grid=a_grid,
+        n_grid=args.n_grid,
+        alpha_grid=args.alphas,
+        a_grid=args.a_grid,
         reps=args.reps,
         methods=_methods(args.method),
         ddk_two_sided=not args.ddk_one_sided,
@@ -188,7 +172,7 @@ def cli_main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse handles --help and usage errors
         return int(exc.code or 0)
     try:
-        output = _cmd_test(args) if args.command == "test" else _cmd_simulate(args)
+        output = _cmd_test(args) if args.command == "test" else _cmd_power(args)
         if args.out:
             Path(args.out).write_text(output, encoding="utf-8")
     except (CrtestError, ValueError, OSError) as exc:

@@ -27,10 +27,10 @@ shifted mean, so the single-sample API and the harness run the same code.
 
 The harness only asks which side of each chi-square quantile a statistic
 falls on, so it passes those quantiles as thresholds and a row stops as
-soon as that is settled (ROADMAP, open item 2).  With
-f(lam) = sum(log(1 + lam*d_i)), concave with slope n*score and its maximum
-at the root, the statistic T = 2*f(root) satisfies, at an iterate lam
-inside the bracket [lo, hi] that holds the root,
+soon as that is settled.  With f(lam) = sum(log(1 + lam*d_i)), concave
+with slope n*score and its maximum at the root, the statistic
+T = 2*f(root) satisfies, at an iterate lam inside the bracket [lo, hi]
+that holds the root, which starts as Owen's bound (2001, sec. 3.14),
 
     L = 2*f(lam) <= T <= L + 2*n*score(lam)*(hi - lam if score > 0 else lo - lam) = U.
 
@@ -159,12 +159,6 @@ def _newton_rows(
                 fa = 2.0 * np.add.reduce(np.log(w, out=w), axis=1)
 
 
-def _log_ratio(ld: np.ndarray) -> np.ndarray:
-    """Profiled log ratio (<= 0) from lam*d, over the last axis."""
-    s = -np.add.reduce(np.log1p(ld), axis=-1)
-    return np.where(s < 0.0, s, 0.0)
-
-
 def jel_statistics(
     pseudo_values: np.ndarray, thresholds: Sequence[float] = ()
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -195,8 +189,10 @@ def jel_statistics(
         lam[rows], iterations[rows], residual[rows], stat[rows] = _newton_rows(d, thresholds)
         solved = residual[rows] <= _TOL
         s = rows[solved]
-        # 0.0 - x rather than -x, so a log ratio of 0 gives +0.0, not -0.0
-        stat[s] = 0.0 - 2.0 * _log_ratio(lam[s, None] * d[solved])
+        # 2*sum(log(1 + lam*d)), which is >= 0; where rounding leaves it
+        # at or below 0 the statistic is +0.0
+        t = 2.0 * np.add.reduce(np.log1p(lam[s, None] * d[solved]), axis=1)
+        stat[s] = np.where(t > 0.0, t, 0.0)
     return stat, degenerate, iterations, lam, residual
 
 
@@ -221,13 +217,13 @@ def jel_statistic(pseudo_values) -> tuple[float, bool, bool, ElSolution | None]:
     stat, degenerate, iterations, lam, residual = jel_statistics(v[None, :])
     if math.isinf(stat[0]):
         return math.inf, False, False, None
-    ld = lam[0] * v
-    weights = 1.0 / (n * (1.0 + ld))
+    weights = 1.0 / (n * (1.0 + lam[0] * v))
     weights.flags.writeable = False
     el = ElSolution(
         lam=float(lam[0]),
         weights=weights,
-        log_ratio=float(_log_ratio(ld)),
+        # 0.0 - x rather than -x, so a statistic of 0 gives +0.0, not -0.0
+        log_ratio=0.0 - 0.5 * float(stat[0]),
         iterations=int(iterations[0]),
         residual=float(residual[0]),
     )

@@ -26,9 +26,9 @@ count as rejections, and are tallied in ``SimCell.hull_violations``.
 stops a row once its concave-dual bounds L <= T <= U (see :mod:`crtest.jel`)
 leave every quantile more than the margin 1e-9 * max(1, largest quantile)
 outside [L, U], which decides every rejection as the full solve would
-(ROADMAP, open item 2).  So ``newton_iters_max`` (schema 3) is the most
-Newton steps any of the cell's rows took to its decision, not to
-convergence.
+(the bounds hold inside Owen's 2001 bracket of the root).  So
+``newton_iters_max`` (schema 3) is the most Newton steps any of the cell's
+rows took to its decision, not to convergence.
 
 Runs on more than one worker share one process pool per process, started
 by the first such run and reused until the interpreter exits, a run asks

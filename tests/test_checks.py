@@ -31,6 +31,7 @@ from crtest import (
     to_json,
 )
 from crtest.cli import cli_main
+from crtest.specialfn import chisq1_quantile, normal_quantile
 
 BASES = (0.25, 1.5, 2, 7, 150)
 HOSTILE = [
@@ -182,6 +183,20 @@ def test_grid_and_spec_values_seen_accepted_before():
     ]:
         with pytest.raises(ValueError):
             call(*args)
+    # below 2**-52, 1 - alpha rounds to 1, which has no chi-square or normal quantile
+    for alpha in (1e-20, 2.0**-53):
+        for call in (jel_test, ddk_test):
+            with pytest.raises(ValueError, match="alpha must be at least 2"):
+                call(TEST_SAMPLE, alpha=alpha)
+        with pytest.raises(ValueError, match="alpha_grid"):
+            SimConfig(**{**CONFIG, "alpha_grid": (alpha,)})
+    alpha = 2.0**-52
+    assert all(math.isfinite(q) for q in (chisq1_quantile(1.0 - alpha), normal_quantile(1.0 - alpha),
+                                          normal_quantile(1.0 - alpha / 2.0)))
+    assert jel_test(TEST_SAMPLE, alpha=alpha).alpha == alpha
+    for two_sided in (True, False):
+        assert ddk_test(TEST_SAMPLE, alpha=alpha, two_sided=two_sided).alpha == alpha
+    assert run(SimConfig(**{**CONFIG, "reps": 100, "alpha_grid": (alpha,)}), workers=1).cells
 
 
 @pytest.mark.parametrize("argv", [

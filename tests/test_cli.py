@@ -216,6 +216,43 @@ def test_power_respects_method_choice(capsys):
     assert lines[1].startswith("ddk,")
 
 
+CELL = ["--p1", "0.3", "--reps", "100", "--seed", "2", "--workers", "1"]
+
+
+def _table(args, capsys):
+    assert cli_main(args + CELL) == 0
+    out = capsys.readouterr().out
+    if "--format" not in args:
+        return out
+    payload = json.loads(out)
+    del payload["metadata"]["wall_time_s"]
+    return payload
+
+
+def test_simulate_is_the_one_cell_name_of_power(capsys):
+    for fmt in ([], ["--format", "json"]):
+        one = _table(["simulate", "--a", "1.5", "--n", "20", "--alpha", "0.1"] + fmt, capsys)
+        grid = _table(["power", "--a-grid", "1.5", "--n-grid", "20", "--alphas", "0.1"] + fmt, capsys)
+        assert one == grid
+    # simulate takes lists too, and both default to the 0.05 level
+    cells = _table(["simulate", "--a", "1.0,1.5", "--n", "10,20", "--method", "jel"], capsys)
+    assert [line.split(",")[1:4] for line in cells.strip().split("\n")[1:]] == [
+        ["1", "10", "0.05"], ["1", "20", "0.05"], ["1.5", "10", "0.05"], ["1.5", "20", "0.05"]]
+    assert (_table(["power", "--a-grid", "1.5", "--n-grid", "20"], capsys)
+            == _table(["power", "--a-grid", "1.5", "--n-grid", "20", "--alphas", "0.05"], capsys))
+    assert cli_main(["simulate", "-h"]) == 0
+    assert capsys.readouterr().out.startswith("usage: crtest power ")
+
+
+def test_grid_options_take_unique_prefixes(capsys):
+    # an explicit --n or --alpha alias would make these prefixes ambiguous
+    for args in (["power", "--a-grid", "1.5", "--n-grid", "20", "--alph", "0.05"],
+                 ["power", "--a-grid", "1.5", "--n-g", "10", "--alp", "0.05"],
+                 ["simulate", "--a", "1.5", "--n", "20", "--alph", "0.05"]):
+        assert cli_main(args + CELL) == 0, args
+        assert capsys.readouterr().out.startswith("method,a,n,alpha")
+
+
 def test_cli_import_does_not_load_scipy():
     # importing crtest.cli loads no scipy, and with scipy unimportable every
     # public entry point, true_delta included, still runs

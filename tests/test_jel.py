@@ -257,6 +257,10 @@ def test_batched_solver_rows_match_scalar_oracle_bitwise(with_ties):
             one_stat, hull_ok, one_degenerate, el = jel_statistic(pseudo[i])
             assert np.array([one_stat]).tobytes() == stat[i].tobytes()
             assert one_degenerate == degenerate[i]
+            if hull_ok:
+                # the log ratio is -stat/2, bit for bit the clipped -sum(log1p(lam*v))
+                lr = -np.add.reduce(np.log1p(el.lam * pseudo[i]))
+                assert np.array([el.log_ratio]).tobytes() == np.array([lr if lr < 0.0 else 0.0]).tobytes()
             if not hull_ok or one_degenerate:
                 assert iterations[i] == lams[i] == residuals[i] == 0
                 unsolved += 1
