@@ -9,7 +9,7 @@ The statistic path (``data``, ``errors``, ``ingest``, ``jel``, ``specialfn``,
 ``crtest test`` never loads the harness.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 import importlib
 
@@ -25,7 +25,7 @@ from .errors import (
     SampleTooSmall,
     UnmappedLabel,
 )
-from .ingest import IngestResult, IngestSpec, RunReport, ingest
+from .ingest import IngestResult, IngestSpec, ingest
 from .jel import ElSolution, JelTestResult, jel_statistic, jel_test, solve_lambda
 from .specialfn import (
     chisq1_cdf,
@@ -57,7 +57,6 @@ __all__ = [
     "UnmappedLabel",
     "IngestResult",
     "IngestSpec",
-    "RunReport",
     "ingest",
     "ElSolution",
     "JelTestResult",

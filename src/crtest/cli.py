@@ -8,7 +8,9 @@ Two subcommands:
   ``--n`` and ``--alpha`` abbreviate ``--n-grid`` and ``--alphas``, so
   ``simulate`` takes comma-separated lists too
 
-Exit codes: 0 success, 1 data or numeric error, 2 usage error.
+The CLI owns its outputs: this module writes the ``test`` report (text,
+or JSON at ``SCHEMA_VERSION``), and ``power`` writes ``mc``'s table as CSV
+or JSON.  Exit codes: 0 success, 1 data or numeric error, 2 usage error.
 
 Only what ``test --method jel`` runs loads with this module; the
 normal-calibrated test and the harness load when a command needs them.
@@ -17,6 +19,7 @@ normal-calibrated test and the harness load when a command needs them.
 from __future__ import annotations
 
 import argparse
+import json
 import re
 import sys
 from pathlib import Path
@@ -24,9 +27,10 @@ from pathlib import Path
 from . import __version__
 from ._checks import BLOCK_ELEMS, level
 from .errors import CrtestError
-from .ingest import IngestResult, IngestSpec, RunReport, ingest
+from .ingest import IngestResult, IngestSpec, ingest
 from .jel import jel_test
 
+SCHEMA_VERSION = 1  # of the ``test`` report
 _INT_RE = re.compile(r"^\d+$")
 
 
@@ -81,6 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="the file has no header row; columns must be indices")
     t.add_argument("--format", choices=("text", "json"), default="text")
     t.add_argument("--out", help="write the report here instead of stdout")
+    t.set_defaults(run=_cmd_test, parser=t)
 
     w = sub.add_parser("power", aliases=["simulate"],
                        help="rejection-rate table over (a, n, alpha) grids; "
@@ -104,6 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="worker processes (default: CRTEST_THREADS, 0 = auto)")
     w.add_argument("--format", choices=("csv", "json"), default="csv")
     w.add_argument("--out", help="write the table here instead of stdout")
+    w.set_defaults(run=_cmd_power, parser=w)
 
     return parser
 
@@ -113,6 +119,8 @@ def _methods(choice: str) -> tuple[str, ...]:
 
 
 def _cmd_test(args: argparse.Namespace) -> str:
+    if args.one_sided and args.method != "ddk":
+        args.parser.error("--one-sided applies to --method ddk only")
     # refuse a bad level before reading the file, however large or missing
     level(args.alpha)
     spec = IngestSpec(
@@ -131,19 +139,43 @@ def _cmd_test(args: argparse.Namespace) -> str:
         from .ddk import ddk_test
 
         result = ddk_test(ing.sample, alpha=args.alpha, two_sided=not args.one_sided)
-    report = RunReport(
-        method=args.method,
-        result=result,
-        n_used=ing.n_used,
-        n_dropped=ing.n_dropped,
-        input_sha256=ing.fingerprint,
-        tool_version=__version__,
-    )
-    return report.to_json() if args.format == "json" else report.to_text()
+    if args.format == "json":
+        return json.dumps({
+            "schema_version": SCHEMA_VERSION,
+            "method": args.method,
+            "n_used": ing.n_used,
+            "n_dropped": ing.n_dropped,
+            "input_sha256": ing.fingerprint,
+            "tool_version": __version__,
+            "result": result.to_dict(),
+        }, indent=2) + "\n"
+    lines = [
+        f"method:        {args.method}",
+        f"input sha256:  {ing.fingerprint}",
+        f"rows used:     {ing.n_used}    rows dropped: {ing.n_dropped}",
+        f"delta_hat:     {result.delta_hat:.6g}",
+    ]
+    if args.method == "jel":
+        # a hull violation's statistic is +inf, which formats as "inf"
+        lines.append(f"statistic:     {result.statistic:.6g}  (chi-square df=1 calibration)")
+        if not result.hull_ok:
+            lines.append("note:          0 outside pseudo-value hull; treated as reject")
+        if result.degenerate:
+            lines.append("note:          degenerate sample (no pseudo-value spread)")
+    else:
+        side = "two-sided" if result.two_sided else "one-sided"
+        lines.append(f"z:             {result.z:.6g}  ({side} normal calibration)")
+        lines.append(f"p1_hat:        {result.p1_hat:.6g}")
+    lines.append(f"p value:       {result.p_value:.6g}")
+    lines.append(f"decision:      {'reject' if result.reject else 'do not reject'} "
+                 f"independence at alpha={result.alpha:g}")
+    return "\n".join(lines) + "\n"
 
 
 def _cmd_power(args: argparse.Namespace) -> str:
     """Run ``power``, also when called by its one-cell name ``simulate``."""
+    if args.ddk_one_sided and args.method == "jel":
+        args.parser.error("--ddk-one-sided applies to --method ddk or both only")
     from .datagen import FamilyParams
     from .mc import SimConfig, run, to_csv, to_json
 
@@ -162,19 +194,13 @@ def _cmd_power(args: argparse.Namespace) -> str:
 
 
 def cli_main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.command == "test" and args.one_sided and args.method != "ddk":
-            parser.error("--one-sided applies to --method ddk only")
-        if args.command != "test" and args.ddk_one_sided and args.method == "jel":
-            parser.error("--ddk-one-sided applies to --method ddk or both only")
-    except SystemExit as exc:  # argparse handles --help and usage errors
-        return int(exc.code or 0)
-    try:
-        output = _cmd_test(args) if args.command == "test" else _cmd_power(args)
+        args = build_parser().parse_args(argv)
+        output = args.run(args)
         if args.out:
             Path(args.out).write_text(output, encoding="utf-8")
+    except SystemExit as exc:  # argparse handles --help and usage errors
+        return int(exc.code or 0)
     except (CrtestError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

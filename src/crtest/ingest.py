@@ -1,10 +1,11 @@
-"""CSV ingestion with cause-label recoding, plus the analysis run report.
+"""CSV ingestion with cause-label recoding: a CSV file becomes a ``Sample``.
 
 Real datasets rarely arrive with causes coded as 1/2; the ingest spec maps
 raw label strings onto cause 1, cause 2, or "drop this row" (e.g. censored
 records).  Matching is exact on the stripped cell text.  Any label outside
 the three sets is an error rather than a silent drop, so a typo in the
-mapping cannot quietly change the sample.
+mapping cannot quietly change the sample.  Reports on a sample are written
+by their caller (the CLI), not here.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
-import json
 import math
 import os
 from dataclasses import dataclass
@@ -21,8 +21,6 @@ from pathlib import Path
 from ._checks import flag, integer, items
 from .data import Sample
 from .errors import NegativeTime, ParseError, UnmappedLabel
-
-SCHEMA_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -70,7 +68,7 @@ class IngestSpec:
 
 @dataclass(frozen=True)
 class IngestResult:
-    """A parsed sample plus the bookkeeping the run report needs.
+    """A parsed sample plus its row counts and the file's fingerprint.
 
     ``n_used + n_dropped == rows_parsed`` always; ``fingerprint`` is the
     SHA-256 of the raw file bytes.
@@ -163,56 +161,3 @@ def ingest(spec: IngestSpec) -> IngestResult:
     return IngestResult(sample=Sample.from_arrays(times, causes), n_used=len(times),
                         n_dropped=n_dropped, rows_parsed=len(times) + n_dropped,
                         fingerprint=fingerprint)
-
-
-@dataclass(frozen=True)
-class RunReport:
-    """Machine- and human-readable record of one CLI test run."""
-
-    method: str
-    result: object  # JelTestResult or DdkTestResult
-    n_used: int
-    n_dropped: int
-    input_sha256: str
-    tool_version: str
-
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "method": self.method,
-            "n_used": self.n_used,
-            "n_dropped": self.n_dropped,
-            "input_sha256": self.input_sha256,
-            "tool_version": self.tool_version,
-            "result": self.result.to_dict(),
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
-
-    def to_text(self) -> str:
-        r = self.result.to_dict()
-        lines = [
-            f"method:        {self.method}",
-            f"input sha256:  {self.input_sha256}",
-            f"rows used:     {self.n_used}    rows dropped: {self.n_dropped}",
-            f"delta_hat:     {r['delta_hat']:.6g}",
-        ]
-        if self.method == "jel":
-            stat = r["statistic"]
-            stat_txt = stat if isinstance(stat, str) else f"{stat:.6g}"
-            lines.append(f"statistic:     {stat_txt}  (chi-square df=1 calibration)")
-            if not r["hull_ok"]:
-                lines.append("note:          0 outside pseudo-value hull; treated as reject")
-            if r["degenerate"]:
-                lines.append("note:          degenerate sample (no pseudo-value spread)")
-        else:
-            lines.append(f"z:             {r['z']:.6g}  "
-                         f"({'two-sided' if r['two_sided'] else 'one-sided'} normal calibration)")
-            lines.append(f"p1_hat:        {r['p1_hat']:.6g}")
-        lines.append(f"p value:       {r['p_value']:.6g}")
-        lines.append(
-            f"decision:      {'reject' if r['reject'] else 'do not reject'} "
-            f"independence at alpha={r['alpha']:g}"
-        )
-        return "\n".join(lines) + "\n"

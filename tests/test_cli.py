@@ -49,6 +49,8 @@ def test_one_sided_is_for_ddk_only(capsys):
         assert cli_main(BASE_TEST_ARGS + method + ["--one-sided"]) == 2
         out, err = capsys.readouterr()
         assert out == "" and "--one-sided applies to --method ddk only" in err
+        # the subcommand's own usage, not the top-level one
+        assert err.startswith("usage: crtest test ")
 
 
 def test_ddk_one_sided_is_for_ddk_cells_only(capsys):
@@ -59,6 +61,7 @@ def test_ddk_one_sided_is_for_ddk_cells_only(capsys):
         assert cli_main(args + ["--method", "jel"]) == 2
         out, err = capsys.readouterr()
         assert out == "" and "--ddk-one-sided applies to --method ddk or both only" in err
+        assert err.startswith("usage: crtest power ")
         for method in ("ddk", "both"):
             assert cli_main(args + ["--method", method]) == 0
             assert capsys.readouterr().out.count("\nddk,") == 1
@@ -70,6 +73,16 @@ def test_out_file(tmp_path, capsys):
     assert code == 0
     assert capsys.readouterr().out == ""
     assert json.loads(dest.read_text())["method"] == "jel"
+    # a power table written to --out is the bytes stdout gets without it
+    table = tmp_path / "table.csv"
+    args = ["power", "--a-grid", "1", "--n-grid", "10", "--p1", "0.4", "--reps", "100",
+            "--seed", "4", "--workers", "1"]
+    assert cli_main(args) == 0
+    stdout = capsys.readouterr().out
+    assert stdout.startswith("method,a,n,alpha")
+    assert cli_main(args + ["--out", str(table)]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert table.read_bytes() == stdout.encode("utf-8")
 
 
 def test_unwritable_out_exits_1(tmp_path, capsys):
@@ -153,7 +166,7 @@ def test_help_exits_0(capsys):
 
 def test_version(capsys):
     assert cli_main(["--version"]) == 0
-    assert "crtest 0.2.0" in capsys.readouterr().out
+    assert "crtest 0.3.0" in capsys.readouterr().out
 
 
 def test_simulate_csv(capsys):

@@ -1,5 +1,4 @@
 import hashlib
-import json
 from pathlib import Path
 
 import numpy as np
@@ -10,10 +9,8 @@ from crtest import (
     IngestSpec,
     NegativeTime,
     ParseError,
-    RunReport,
     UnmappedLabel,
     ingest,
-    jel_test,
 )
 from crtest.cli import cli_main
 
@@ -248,9 +245,13 @@ def test_one_column_as_time_and_cause_is_refused(tmp_path, capsys):
 # now and then, so that both whole samples and every error path are common.
 GOOD_TIMES = ["1.5", " 2 ", "0", "3e2", "-0.0", '"4.25"', "7.5\t", "1_000"]
 BAD_TIMES = ["-1", "-2.5", "-1e-300", "abc", "", "inf", "-inf", "nan", "0x10"]
-GOOD_LABELS = ["1", "2", "0", " 1", "2 ", '"1"', "SI"]
-BAD_LABELS = ["x", "", "3", "1 2"]
-GOOD_NOTES = ["a", "", '"two\nlines"', '"q,uoted"', "b\x00c", '"x""y"', "\u00e9"]
+# a cause-1 label longer than any other cell in the corpus: a reader
+# that infers one string width from the other cells would cut it short
+LONG_LABEL = "SI, then the longest cell"
+GOOD_LABELS = ["1", "2", "0", " 1", "2 ", '"1"', "SI", f'"{LONG_LABEL}"']
+# "#" is data, never a comment marker
+BAD_LABELS = ["x", "", "3", "1 2", "#1"]
+GOOD_NOTES = ["a", "", '"two\nlines"', '"q,uoted"', "b\x00c", '"x""y"', "\u00e9", "# x"]
 BAD_NOTES = ["c\rd", '"open']
 
 
@@ -304,7 +305,7 @@ def random_csv(rng):
     text = eol.join(lines) + (eol if rng.random() < 0.8 else "")
     bom = "\ufeff" if rng.random() < 0.2 else ""
     spec = dict(time_column=time_column, cause_column=cause_column, has_header=has_header,
-                cause1_labels={"1", "SI"}, cause2_labels={"2"},
+                cause1_labels={"1", "SI", LONG_LABEL}, cause2_labels={"2"},
                 drop_labels={"0"} if rng.random() < 0.7 else set())
     return (bom + text).encode(), spec
 
@@ -330,6 +331,10 @@ EDGE_CASES = {
     "index past the row": (b"time,status\n1,1\n", dict(cause_column=5)),
     "crlf": (b"time,status\r\n1,1\r\n2,2\r\n", {}),
     "comma-only rows": (b"time,status\n,\n1,1\n , \n2,2\n", {}),
+    "# in cells": (b"note,time,status\n# x,1,1\n#,2,2\n# x,3,#1\n", {}),
+    "longest cell is a cause-1 label": (
+        f'time,status\n1,2\n2,"{LONG_LABEL}"\n3,1\n'.encode(),
+        dict(cause1_labels={"1", LONG_LABEL})),
 }
 
 
@@ -362,29 +367,3 @@ def test_ingest_matches_the_row_loop_reader(tmp_path):
     # the corpus reaches whole samples and every kind of error
     for kind in ("sample", ParseError, NegativeTime, UnmappedLabel):
         assert kinds.count(kind) >= 10, kind
-
-
-def test_run_report_json_and_text():
-    result = ingest(spec_for(FIXTURES / "toy.csv"))
-    test_result = jel_test(result.sample)
-    report = RunReport(
-        method="jel",
-        result=test_result,
-        n_used=result.n_used,
-        n_dropped=result.n_dropped,
-        input_sha256=result.fingerprint,
-        tool_version="0.1.0",
-    )
-    payload = json.loads(report.to_json())
-    assert payload["schema_version"] == 1
-    assert payload["method"] == "jel"
-    assert payload["n_used"] == 5 and payload["n_dropped"] == 2
-    assert payload["input_sha256"] == result.fingerprint
-    assert payload["result"]["n"] == 5
-    # json round-trips python floats exactly
-    assert payload["result"]["statistic"] == test_result.statistic
-    assert payload["result"]["p_value"] == test_result.p_value
-    text = report.to_text()
-    assert "rows used:     5" in text
-    assert "p value:" in text
-    assert "independence at alpha=0.05" in text
