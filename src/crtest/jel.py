@@ -79,14 +79,16 @@ class ElSolution:
 
 
 def _newton_rows(
-    d: np.ndarray, thresholds: Sequence[float] = ()
+    d: np.ndarray, lo: np.ndarray, hi: np.ndarray, thresholds: Sequence[float] = ()
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Solve the score equation for every row of ``d`` (R, n) at once.
 
-    Each row must have min < 0 < max.  Returns per-row ``(lam, iterations,
-    residual, lower)``.  A row leaves the active set once its absolute score
-    drops to the tolerance; every row follows exactly the steps a one-row
-    call would take, so stacking never changes a result.
+    Each row must have min < 0 < max, and ``lo``, ``hi`` hold each row's
+    starting bracket of the root (see :func:`jel_statistics`).  Returns
+    per-row ``(lam, iterations, residual, lower)``.  A row leaves the active
+    set once its absolute score drops to the tolerance; every row follows
+    exactly the steps a one-row call would take, so stacking never changes a
+    result.
 
     With ``thresholds``, a row also leaves once the concave-dual bounds put
     its statistic on a known side of every threshold (see the module
@@ -97,11 +99,6 @@ def _newton_rows(
     cap.
     """
     r, n = d.shape
-    # The score falls from +inf to -inf across (-1/dmax, -1/dmin), so the root
-    # is unique.  Its weights 1/(n(1 + lam*d_i)) sum to 1, so none exceeds 1,
-    # which brackets it by Owen's bound (Empirical Likelihood, 2001, sec. 3.14).
-    lo = (1.0 / n - 1.0) / d.max(axis=1)
-    hi = (1.0 / n - 1.0) / d.min(axis=1)
     lam = np.zeros(r)
     iterations = np.zeros(r, dtype=np.int64)
     residual = np.empty(r)
@@ -178,15 +175,23 @@ def jel_statistics(
     as without thresholds.
     """
     v = pseudo_values
-    r = v.shape[0]
-    degenerate = ~v.any(axis=1)
+    r, n = v.shape
+    v_min, v_max = v.min(axis=1), v.max(axis=1)
+    degenerate = (v_min == 0.0) & (v_max == 0.0)
     stat = np.where(degenerate, 0.0, math.inf)
     iterations = np.zeros(r, dtype=np.int64)
     lam, residual = np.zeros(r), np.zeros(r)
-    rows = np.flatnonzero((v.min(axis=1) < 0.0) & (v.max(axis=1) > 0.0))
+    rows = np.flatnonzero((v_min < 0.0) & (v_max > 0.0))
     if rows.size:
-        d = v[rows]
-        lam[rows], iterations[rows], residual[rows], stat[rows] = _newton_rows(d, thresholds)
+        d = v
+        if rows.size < r:
+            d, v_min, v_max = v[rows], v_min[rows], v_max[rows]
+        # The score falls from +inf to -inf across (-1/max, -1/min), so the
+        # root is unique.  Its weights 1/(n(1 + lam*d_i)) sum to 1, so none
+        # exceeds 1, which brackets it by Owen's bound (Empirical
+        # Likelihood, 2001, sec. 3.14).
+        lo, hi = (1.0 / n - 1.0) / v_max, (1.0 / n - 1.0) / v_min
+        lam[rows], iterations[rows], residual[rows], stat[rows] = _newton_rows(d, lo, hi, thresholds)
         solved = residual[rows] <= _TOL
         s = rows[solved]
         # 2*sum(log(1 + lam*d)), which is >= 0; where rounding leaves it

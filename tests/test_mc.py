@@ -32,7 +32,7 @@ from crtest import (
     to_csv,
     to_json,
 )
-from crtest.mc import _BLOCK_ELEMS, _resolve_workers, _run_block, _tasks
+from crtest.mc import _BLOCK_ELEMS, _resolve_workers, _run_block, _shares, _tasks
 
 from oracles import scalar_solve_lambda
 
@@ -463,7 +463,8 @@ def test_cells_do_not_depend_on_task_size(monkeypatch):
     small = run(cfg, workers=1)
     # every cell spans many tasks, none holding more than _BLOCK_ELEMS values
     assert len(stacks) == 2 * (300 // 12 + 300 // 3) and max(stacks) <= 64
-    # the pool looks _run_block up by name in its workers
+    # the workers' _run_share looks _run_block up in crtest.mc, so put the
+    # real one back before a pool can fork with the counting one
     monkeypatch.setattr(crtest.mc, "_run_block", _run_block)
     pooled = run(cfg, workers=2)
     assert small.cells == default.cells == pooled.cells
@@ -521,6 +522,62 @@ def test_pool_splits_cells_only_when_workers_outnumber_them():
         check_cover(cfg, _tasks(cfg, workers))
 
 
+LOPSIDED = small_config(params=FamilyParams(lam=1.0, p1=0.5, a=1.0, seed=4), n_grid=(20, 1000),
+                        a_grid=(1.5,), reps=400)
+
+
+def load(share):
+    return sum((hi - lo) * config.n_grid[n_idx] for config, _, n_idx, lo, hi in share)
+
+
+@pytest.mark.parametrize("cfg", [small_config(reps=200), POOL_GRID, LOPSIDED,
+                                 small_config(reps=5000, n_grid=(3, 40, 1000), a_grid=(1.0, 1.5))],
+                         ids=["one-cell", "pool-grid", "lopsided", "capped"])
+def test_shares_deal_every_task_once_into_balanced_loads(cfg):
+    for workers in (1, 2, 3, 4):
+        tasks = _tasks(cfg, workers)
+        workers = min(workers, len(tasks))
+        shares = _shares(tasks, workers)
+        assert len(shares) == workers and all(shares)
+        assert sorted(t for share in shares for t in share) == sorted(tasks)
+        assert shares == _shares(list(tasks), workers)
+        # each share keeps task order, so one worker gets the tasks as they are
+        assert all(share == sorted(share, key=tasks.index) for share in shares)
+        loads = [load(share) for share in shares]
+        assert max(loads) - min(loads) <= max(load([t]) for t in tasks)
+    assert _shares(_tasks(cfg, 1), 1) == [_tasks(cfg, 1)]
+
+
+def test_pooled_run_sends_one_message_per_worker(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    messages = []
+
+    class InlinePool:
+        def map(self, fn, *iterables):
+            args = list(zip(*iterables))
+            messages.append((fn, args))
+            return [fn(*a) for a in args]
+
+    monkeypatch.setattr(crtest.mc, "_pool", lambda workers: InlinePool())
+    pooled = run(LOPSIDED, workers=3)
+    assert len(messages) == 1
+    fn, args = messages[0]
+    assert fn is crtest.mc._run_share and len(args) == 3
+    assert [share for (share,) in args] == _shares(_tasks(LOPSIDED, 3), 3)
+    assert pooled.cells == run(LOPSIDED, workers=1).cells
+
+
+def test_lopsided_grid_gives_the_serial_cells_at_every_worker_count(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    serial = run(LOPSIDED, workers=1)
+    for workers in (2, 3, 4):
+        pooled = run(LOPSIDED, workers=workers)
+        assert pooled.metadata["workers"] == workers
+        assert pooled.cells == serial.cells
+        assert pooled.metadata["newton_iters_max"] == serial.metadata["newton_iters_max"]
+    crtest.mc._drop_pool()
+
+
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                     reason="workers inherit the parent's imports only when forked")
 def test_pool_workers_start_with_numpy_random_loaded():
@@ -537,8 +594,8 @@ def test_pool_workers_start_with_numpy_random_loaded():
         "    if 'numpy.random' not in sys.modules:",
         "        raise RuntimeError('worker task started without numpy.random loaded')",
         "    return run_block(*args)",
-        # the pool pickles _run_block by name, so the workers find the guard
-        "cold_guard.__module__, cold_guard.__qualname__ = 'crtest.mc', '_run_block'",
+        # the pool pickles _run_share by name, and the workers' _run_share
+        # finds the guard as crtest.mc._run_block when it calls it
         "crtest.mc._run_block = cold_guard",
         "cfg = SimConfig(params=FamilyParams(lam=1.0, p1=0.4, a=1.0, seed=3), n_grid=(10, 20),",
         "                alpha_grid=(0.05,), a_grid=(1.0,), reps=100)",
