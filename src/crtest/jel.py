@@ -15,15 +15,16 @@ likelihood route of Jing, Yuan & Zhou, 2009), which is what calibrates the
 independence test: reject when the statistic exceeds the upper chi-square
 quantile.
 
-There is one solver, a safeguarded Newton iteration (Owen, Empirical
-Likelihood, 2001, ch. 3) vectorised over the rows of an (R, n) stack of
-pseudo-values: each row keeps its own bracket and stops on its own, so a row
-solved in a stack gets exactly the result of solving it alone.  There is
-also one classifier: ``jel_statistics`` alone decides whether a row is
-degenerate (all zero), a hull violation (0 not strictly inside its range) or
-solved.  It serves the Monte Carlo harness a whole block at a time;
-``jel_statistic`` is its one-row case and ``solve_lambda`` that case at a
-shifted mean, so the single-sample API and the harness run the same code.
+One function, ``jel_statistics``, classifies and solves an (R, n) stack of
+pseudo-values.  It decides whether a row is degenerate (all zero), a hull
+violation (0 not strictly inside its range) or solvable, and solves the
+solvable rows by one safeguarded Newton iteration (Owen, Empirical
+Likelihood, 2001, ch. 3) vectorised over them: each row keeps its own
+bracket and stops on its own, so a row solved in a stack gets exactly the
+result of solving it alone.  It serves the Monte Carlo harness a whole
+block at a time; ``jel_statistic`` is its one-row case and ``solve_lambda``
+that case at a shifted mean, so the single-sample API and the harness run
+the same code.
 
 The harness only asks which side of each chi-square quantile a statistic
 falls on, so it passes those quantiles as thresholds and a row stops as
@@ -78,94 +79,18 @@ class ElSolution:
     residual: float
 
 
-def _newton_rows(
-    d: np.ndarray, lo: np.ndarray, hi: np.ndarray, thresholds: Sequence[float] = ()
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Solve the score equation for every row of ``d`` (R, n) at once.
-
-    Each row must have min < 0 < max, and ``lo``, ``hi`` hold each row's
-    starting bracket of the root (see :func:`jel_statistics`).  Returns
-    per-row ``(lam, iterations, residual, lower)``.  A row leaves the active
-    set once its absolute score drops to the tolerance; every row follows
-    exactly the steps a one-row call would take, so stacking never changes a
-    result.
-
-    With ``thresholds``, a row also leaves once the concave-dual bounds put
-    its statistic on a known side of every threshold (see the module
-    docstring), with its residual still above the tolerance; ``lower`` is
-    then 2*f(lam) at each row's last iterate, the lower bound (0 without
-    thresholds).  Raises
-    :class:`NoConvergence` if any row is still active after the iteration
-    cap.
-    """
-    r, n = d.shape
-    lam = np.zeros(r)
-    iterations = np.zeros(r, dtype=np.int64)
-    residual = np.empty(r)
-    lower = np.zeros(r)
-    # a threshold q keeps a row open while L <= q + m and q - m <= U
-    qs = np.sort(np.asarray(thresholds, dtype=np.float64))
-    margin = _MARGIN * max([1.0, *thresholds])
-    q_up, q_down = qs + margin, qs - margin
-    # the active rows: their index, pseudo-values, q = d/(1 + lam*d), score
-    # mean(q), multiplier, bracket and L = 2*f(lam), which is 0 at lam = 0
-    rows, da, q, la = np.arange(r), d, d, np.zeros(r)
-    ga = np.add.reduce(d, axis=1) / n
-    fa = np.zeros(r)
-    step = 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        while True:
-            # the root lies on the side of la that the score's sign points to
-            pos = ga > 0.0
-            lo = np.where(pos, la, lo)
-            hi = np.where(pos, hi, la)
-            ag = np.abs(ga)
-            left = ag > _TOL
-            if q_up.size:
-                # one end of the updated bracket is la, so U in the module
-                # docstring is L + 2n*|ga|*(hi - lo)
-                upper = fa + 2.0 * n * ag * (hi - lo)
-                left &= q_up.searchsorted(fa) < q_down.searchsorted(upper, side="right")
-            active = np.count_nonzero(left)
-            if active < rows.size:
-                done = ~left
-                idx = rows[done]
-                lam[idx] = la[done]
-                residual[idx] = ag[done]
-                iterations[idx] = step
-                lower[idx] = fa[done]
-                if not active:
-                    return lam, iterations, residual, lower
-                rows, da, q, ga, fa = rows[left], da[left], q[left], ga[left], fa[left]
-                la, lo, hi = la[left], lo[left], hi[left]
-            if step == _MAX_ITER:
-                raise NoConvergence(
-                    f"score residual {float(np.abs(ga).max()):.3e} after {step} iterations "
-                    f"(tol {_TOL:g}) in {rows.size} of {r} rows"
-                )
-            step += 1
-            # the score's slope is -mean(q*q); a NaN or infinite Newton step
-            # fails the bracket test and falls back to bisection
-            nxt = la + ga / (np.add.reduce(q * q, axis=1) / n)
-            la = np.where((lo < nxt) & (nxt < hi), nxt, 0.5 * (lo + hi))
-            w = la[:, None] * da
-            w += 1.0
-            q = da / w
-            ga = np.add.reduce(q, axis=1) / n
-            if q_up.size:
-                fa = 2.0 * np.add.reduce(np.log(w, out=w), axis=1)
-
-
 def jel_statistics(
     pseudo_values: np.ndarray, thresholds: Sequence[float] = ()
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """:func:`jel_statistic` over each row of an (R, n) pseudo-value stack.
 
     Returns ``(statistic, degenerate, iterations, lam, residual)``, each of
-    length R.  This is the one place a row is classified: an all-zero row is
-    degenerate, with statistic 0; a row without 0 strictly inside its
-    (min, max) is a hull violation, with statistic +inf; both get lam 0,
-    residual 0 and 0 iterations.  The remaining rows are solved together.
+    length R.  An all-zero row is degenerate, with statistic 0; a row
+    without 0 strictly inside its (min, max) is a hull violation, with
+    statistic +inf; both get lam 0, residual 0 and 0 iterations.  The
+    remaining rows are solved together, and each stops once its absolute
+    score drops to the tolerance.  Raises :class:`NoConvergence` if a row is
+    still open after the iteration cap.
 
     ``thresholds`` is for the Monte Carlo harness, which only asks which side
     of each one a statistic lies on.  A row whose bounds settle that before
@@ -182,22 +107,69 @@ def jel_statistics(
     iterations = np.zeros(r, dtype=np.int64)
     lam, residual = np.zeros(r), np.zeros(r)
     rows = np.flatnonzero((v_min < 0.0) & (v_max > 0.0))
-    if rows.size:
-        d = v
-        if rows.size < r:
-            d, v_min, v_max = v[rows], v_min[rows], v_max[rows]
-        # The score falls from +inf to -inf across (-1/max, -1/min), so the
-        # root is unique.  Its weights 1/(n(1 + lam*d_i)) sum to 1, so none
-        # exceeds 1, which brackets it by Owen's bound (Empirical
-        # Likelihood, 2001, sec. 3.14).
-        lo, hi = (1.0 / n - 1.0) / v_max, (1.0 / n - 1.0) / v_min
-        lam[rows], iterations[rows], residual[rows], stat[rows] = _newton_rows(d, lo, hi, thresholds)
-        solved = residual[rows] <= _TOL
-        s = rows[solved]
-        # 2*sum(log(1 + lam*d)), which is >= 0; where rounding leaves it
-        # at or below 0 the statistic is +0.0
-        t = 2.0 * np.add.reduce(np.log1p(lam[s, None] * d[solved]), axis=1)
-        stat[s] = np.where(t > 0.0, t, 0.0)
+    if not rows.size:
+        return stat, degenerate, iterations, lam, residual
+    d = v
+    if rows.size < r:
+        d, v_min, v_max = v[rows], v_min[rows], v_max[rows]
+    # The score falls from +inf to -inf across (-1/max, -1/min), so the
+    # root is unique.  Its weights 1/(n(1 + lam*d_i)) sum to 1, so none
+    # exceeds 1, which brackets it by Owen's bound (Empirical
+    # Likelihood, 2001, sec. 3.14).
+    lo, hi = (1.0 / n - 1.0) / v_max, (1.0 / n - 1.0) / v_min
+    # a threshold q keeps a row open while L <= q + m and q - m <= U
+    qs = np.sort(np.asarray(thresholds, dtype=np.float64))
+    margin = _MARGIN * max([1.0, *thresholds])
+    q_up, q_down = qs + margin, qs - margin
+    # the open rows: their index, pseudo-values, q = d/(1 + lam*d), score
+    # mean(q), multiplier and L = 2*f(lam), which is 0 at lam = 0
+    act, da, q, ga = rows, d, d, np.add.reduce(d, axis=1) / n
+    la, fa = np.zeros(rows.size), np.zeros(rows.size)
+    step = 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while True:
+            # the root lies on the side of la that the score's sign points to
+            pos = ga > 0.0
+            lo = np.where(pos, la, lo)
+            hi = np.where(pos, hi, la)
+            ag = np.abs(ga)
+            left = ag > _TOL
+            if q_up.size:
+                # one end of the updated bracket is la, so U in the module
+                # docstring is L + 2n*|ga|*(hi - lo)
+                upper = fa + 2.0 * n * ag * (hi - lo)
+                left &= q_up.searchsorted(fa) < q_down.searchsorted(upper, side="right")
+            active = np.count_nonzero(left)
+            if active < act.size:
+                done = ~left
+                idx = act[done]
+                lam[idx], residual[idx], iterations[idx], stat[idx] = la[done], ag[done], step, fa[done]
+                if not active:
+                    break
+                act, da, q, ga, fa = act[left], da[left], q[left], ga[left], fa[left]
+                la, lo, hi = la[left], lo[left], hi[left]
+            if step == _MAX_ITER:
+                raise NoConvergence(
+                    f"score residual {float(np.abs(ga).max()):.3e} after {step} iterations "
+                    f"(tol {_TOL:g}) in {act.size} of {rows.size} rows"
+                )
+            step += 1
+            # the score's slope is -mean(q*q); a NaN or infinite Newton step
+            # fails the bracket test and falls back to bisection
+            nxt = la + ga / (np.add.reduce(q * q, axis=1) / n)
+            la = np.where((lo < nxt) & (nxt < hi), nxt, 0.5 * (lo + hi))
+            w = la[:, None] * da
+            w += 1.0
+            q = da / w
+            ga = np.add.reduce(q, axis=1) / n
+            if q_up.size:
+                fa = 2.0 * np.add.reduce(np.log(w, out=w), axis=1)
+    # a converged row's statistic is 2*sum(log(1 + lam*d)), which is >= 0;
+    # where rounding leaves it at or below 0 the statistic is +0.0
+    solved = residual[rows] <= _TOL
+    s = rows[solved]
+    t = 2.0 * np.add.reduce(np.log1p(lam[s, None] * d[solved]), axis=1)
+    stat[s] = np.where(t > 0.0, t, 0.0)
     return stat, degenerate, iterations, lam, residual
 
 

@@ -35,10 +35,11 @@ balanced by value count, and sends each worker its share as one message,
 so the pool's fixed cost per message is paid once per worker, not once per
 task.  Such runs share one process pool per process, started by the first
 such run and reused until the interpreter exits, a run asks for a
-different worker count, or a run fails; a failed run takes its pool down
-with it and the next run starts a fresh one.  This pays off in a
-process that makes several runs, as a study over several ``FamilyParams``
-does: one ``run`` per setting.  Between runs the workers sit idle, and
+different worker count, or a run fails; a failed or interrupted run stops
+its workers, whatever share they are running, takes its pool down with it,
+and the next run starts a fresh one.  This pays off in a process that
+makes several runs, as a study over several ``FamilyParams`` does: one
+``run`` per setting.  Between runs the workers sit idle, and
 pooled runs from several threads take turns on the one pool.  Workers keep
 the module state they started with, so patching ``crtest`` after the first
 pooled run does not reach them.  A child forked from a process with a live
@@ -314,6 +315,13 @@ def run(config: SimConfig, workers: int | None = None) -> SimTable:
             try:
                 share_results = list(_pool(workers).map(_run_share, shares))
             except BaseException:
+                # shutdown() cancels only shares not yet started, and waits
+                # for the running ones, each a worker's whole share: stop the
+                # workers first.  Before Python 3.14's terminate_workers() the
+                # executor has no public way to, so this reaches _processes
+                if _POOL is not None:
+                    for proc in list(_POOL[1]._processes.values()):
+                        proc.terminate()
                 _drop_pool()
                 raise
 

@@ -295,6 +295,16 @@ def test_iteration_cap_raises_no_convergence(monkeypatch):
         jel_statistics(np.array([[-1.0, 1.0, 1.0], [-1.0, 0.5, 2.0]]))
 
 
+def test_no_convergence_counts_the_solvable_rows_of_a_mixed_stack(monkeypatch):
+    # a degenerate row, a hull violation and two solvable rows, one of which
+    # converges in one step: the message counts only the rows solved
+    monkeypatch.setattr(crtest.jel, "_MAX_ITER", 1)
+    v = np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 3.0], [-1.0, 1.0, 1.0], [-1.0, 0.5, 2.0]])
+    with pytest.raises(NoConvergence) as info:
+        jel_statistics(v)
+    assert str(info.value) == "score residual 1.034e-01 after 1 iterations (tol 1e-10) in 1 of 2 rows"
+
+
 Q95, Q99 = chisq1_quantile(0.95), chisq1_quantile(0.99)
 
 

@@ -742,6 +742,56 @@ def test_forked_child_starts_its_own_pool():
     assert proc.stdout.split() == ["same=1", "own=1", "status=0"], proc.stderr
 
 
+# Each worker's share sleeps for a minute; SIGINT reaches the parent alone,
+# as from `kill -INT` or a notebook's interrupt, not a terminal's Ctrl-C.
+INTERRUPT_SCRIPT = """
+import os, signal, time
+os.sched_getaffinity = lambda pid: {0, 1}
+import crtest.mc as mc
+from crtest import FamilyParams, SimConfig, run
+
+cfg = SimConfig(params=FamilyParams(lam=1.0, p1=0.3, a=1.0, seed=1), n_grid=(20,),
+                alpha_grid=(0.05,), a_grid=(1.0, 1.5), reps=100)
+serial = run(cfg, workers=1).cells
+run_block = mc._run_block
+
+def slow_block(*args):
+    time.sleep(60)
+    return run_block(*args)
+
+workers, fired = {}, []
+
+def interrupt(signum, frame):
+    workers.update(mc._POOL[1]._processes)
+    fired.append(time.monotonic())
+    signal.raise_signal(signal.SIGINT)
+
+mc._run_block = slow_block
+signal.signal(signal.SIGALRM, interrupt)
+signal.alarm(2)
+try:
+    run(cfg, workers=2)
+except KeyboardInterrupt:
+    print("interrupted=%d" % (time.monotonic() - fired[0] < 10))
+gone = 0
+for pid in workers:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        gone += 1
+print("workers=%d gone=%d" % (len(workers), gone))
+mc._run_block = run_block
+print("same=%d" % (run(cfg, workers=2).cells == serial))
+"""
+
+
+@needs_fork
+def test_interrupted_run_stops_its_workers():
+    proc = run_script(INTERRUPT_SCRIPT)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["interrupted=1", "workers=2", "gone=2", "same=1"], proc.stderr
+
+
 @needs_fork
 def test_killed_worker_fails_one_run_and_the_next_forks_a_new_pool(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
