@@ -3,89 +3,39 @@ competing risks data: an empirical-likelihood test calibrated against
 chi-square(1), a normal-calibrated concordance test, a parametric sampler
 with tunable dependence, and a Monte Carlo rejection-rate harness.
 
-The statistic path (``data``, ``errors``, ``ingest``, ``jel``, ``specialfn``,
-``ustat``) loads with the package; the names from the harness side
-(``datagen``, ``ddk``, ``mc``) load their module on first use, so
-``crtest test`` never loads the harness.
+``import crtest`` loads ``ingest`` and what it imports (``_checks``,
+``data``, ``errors`` and numpy); every other public name imports its module
+on first use, so ``crtest test`` never loads the harness.
 """
 
 __version__ = "0.3.0"
 
 import importlib
 
-from .data import Sample
-from .errors import (
-    CrtestError,
-    DegenerateSample,
-    DomainError,
-    HullViolation,
-    NegativeTime,
-    NoConvergence,
-    ParseError,
-    SampleTooSmall,
-    UnmappedLabel,
-)
-from .ingest import IngestResult, IngestSpec, ingest
-from .jel import ElSolution, JelTestResult, jel_statistic, jel_test, solve_lambda
-from .specialfn import (
-    chisq1_cdf,
-    chisq1_quantile,
-    chisq1_sf,
-    normal_cdf,
-    normal_quantile,
-)
-from .ustat import JackknifeSet, delta_hat, jackknife
+# a static import: importing the submodule crtest.ingest binds the package
+# attribute `ingest` to the module, which would hide the function from
+# __getattr__
+from .ingest import ingest
 
-__all__ = [
-    "__version__",
-    "Sample",
-    "FamilyParams",
-    "rng_from_seed",
-    "sample",
-    "true_delta",
-    "DdkTestResult",
-    "ddk_test",
-    "ddk_z",
-    "CrtestError",
-    "DegenerateSample",
-    "DomainError",
-    "HullViolation",
-    "NegativeTime",
-    "NoConvergence",
-    "ParseError",
-    "SampleTooSmall",
-    "UnmappedLabel",
-    "IngestResult",
-    "IngestSpec",
-    "ingest",
-    "ElSolution",
-    "JelTestResult",
-    "jel_statistic",
-    "jel_test",
-    "solve_lambda",
-    "SimCell",
-    "SimConfig",
-    "SimTable",
-    "run",
-    "to_csv",
-    "to_json",
-    "chisq1_cdf",
-    "chisq1_quantile",
-    "chisq1_sf",
-    "normal_cdf",
-    "normal_quantile",
-    "JackknifeSet",
-    "delta_hat",
-    "jackknife",
-]
-
-# the harness-side names by the submodule that defines them: __getattr__
+# every other public name by the submodule that defines it: __getattr__
 # imports it on a name's first access and caches the value as a global
 _LAZY = {
+    **dict.fromkeys(("Sample",), "data"),
     **dict.fromkeys(("FamilyParams", "rng_from_seed", "sample", "true_delta"), "datagen"),
     **dict.fromkeys(("DdkTestResult", "ddk_test", "ddk_z"), "ddk"),
+    **dict.fromkeys(("CrtestError", "DegenerateSample", "DomainError", "HullViolation",
+                     "NegativeTime", "NoConvergence", "ParseError", "SampleTooSmall",
+                     "UnmappedLabel"), "errors"),
+    **dict.fromkeys(("IngestResult", "IngestSpec"), "ingest"),
+    **dict.fromkeys(("ElSolution", "JelTestResult", "jel_statistic", "jel_test",
+                     "solve_lambda"), "jel"),
     **dict.fromkeys(("SimCell", "SimConfig", "SimTable", "run", "to_csv", "to_json"), "mc"),
+    **dict.fromkeys(("chisq1_cdf", "chisq1_quantile", "chisq1_sf", "normal_cdf",
+                     "normal_quantile"), "specialfn"),
+    **dict.fromkeys(("JackknifeSet", "delta_hat", "jackknife"), "ustat"),
 }
+
+__all__ = ["__version__", "ingest", *_LAZY]
 
 
 def __getattr__(name: str):

@@ -368,16 +368,12 @@ def run(config: SimConfig, workers: int | None = None) -> SimTable:
     return SimTable(cells=cells, metadata=metadata)
 
 
-def _fmt(x: float) -> str:
-    return "nan" if math.isnan(x) else f"{x:.10g}"
-
-
 def to_csv(table: SimTable) -> str:
     lines = ["method,a,n,alpha,rate,stderr,excluded,rejections,used,hull_violations,newton_iters_max"]
     for c in table.rows():
         lines.append(
-            f"{c.method},{_fmt(c.a)},{c.n},{_fmt(c.alpha)},"
-            f"{_fmt(c.rate)},{_fmt(c.stderr)},{c.excluded},{c.rejections},{c.used},"
+            f"{c.method},{c.a:.10g},{c.n},{c.alpha:.10g},"
+            f"{c.rate:.10g},{c.stderr:.10g},{c.excluded},{c.rejections},{c.used},"
             f"{c.hull_violations},{c.newton_iters_max}"
         )
     return "\n".join(lines) + "\n"

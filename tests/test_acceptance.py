@@ -6,6 +6,7 @@ at a glance.  Dataset-regression checks skip (not fail) when the prepared
 files are absent — see DATASETS.md for how to produce them.
 """
 
+import itertools
 import math
 import time
 from pathlib import Path
@@ -30,6 +31,9 @@ from crtest import (
     solve_lambda,
 )
 from crtest.datagen import sub_distribution_cause1
+from crtest.ddk import _rejects, zstat
+from crtest.jel import jel_statistics
+from crtest.ustat import jackknife_rows
 
 from oracles import CLOSED_FORM_LAMBDA, naive_jackknife
 
@@ -152,6 +156,71 @@ def test_null_rejection_rates_at_desk_scale():
         "null rejection rates at n=100, 10000 reps",
         abs(jel_rate - 0.0502) <= 0.008 and abs(ddk_rate - 0.0508) <= 0.008,
         f"jel {jel_rate:.4f} (target 0.0502 ± 0.008); ddk {ddk_rate:.4f} (target 0.0508 ± 0.008)",
+    )
+
+
+def _exact_null_law(n: int, p1: float, alpha: float) -> dict[str, float]:
+    """Exact size, hull share and exclusion share of both tests at a = 1.
+
+    Under independence the time-ordered cause sequence is i.i.d.
+    Bernoulli(p1) and both statistics are rank-based, so each figure is a
+    weighted sum over the 2^n sequences on times 0..n-1.
+    """
+    causes = np.array(list(itertools.product((1, 2), repeat=n)))
+    times = np.broadcast_to(np.arange(n, dtype=float), causes.shape)
+    n1 = (causes == 1).sum(axis=1)
+    weight = p1**n1 * (1.0 - p1) ** (n - n1)
+    d_hat, pseudo = jackknife_rows(times, causes)
+    q = chisq1_quantile(1.0 - alpha)
+    stat, degenerate, _, _, _ = jel_statistics(pseudo, [q])
+    observed = (n1 > 0) & (n1 < n)
+    # both tests exclude exactly the one-cause sequences
+    assert np.array_equal(degenerate, ~observed)
+    ddk = _rejects(zstat(d_hat[observed], n1[observed] / n, n), (alpha,), True)[:, 0]
+    used = weight[observed].sum()
+    return {
+        "jel": weight[observed & (stat > q)].sum() / used,
+        "hull": weight[np.isinf(stat)].sum() / used,
+        "excluded": 1.0 - used,
+        "ddk": weight[observed][ddk].sum() / used,
+    }
+
+
+_EXACT_N10 = {
+    0.1: {"jel": 0.1675, "hull": 0.1339, "excluded": 0.3487, "ddk": 0.0389},
+    0.5: {"jel": 0.0861, "hull": 0.0196, "excluded": 0.0020, "ddk": 0.1057},
+}
+
+
+@pytest.mark.parametrize("p1", sorted(_EXACT_N10))
+def test_harness_matches_exact_null_law_at_n10(p1):
+    exact = _exact_null_law(10, p1, 0.05)
+    assert {k: round(v, 4) for k, v in exact.items()} == _EXACT_N10[p1]
+    reps = 4000
+    cfg = SimConfig(
+        params=FamilyParams(lam=1.0, p1=p1, a=1.0, seed=11),
+        n_grid=(10,),
+        alpha_grid=(0.05,),
+        a_grid=(1.0,),
+        reps=reps,
+    )
+    table = run(cfg, workers=1)
+    j, d = table.get("jel", 1.0, 10, 0.05), table.get("ddk", 1.0, 10, 0.05)
+    assert d.excluded == j.excluded
+    # (Monte Carlo share, its denominator) per exact figure
+    observed = {
+        "jel": (j.rate, j.used),
+        "hull": (j.hull_violations / j.used, j.used),
+        "excluded": (j.excluded / reps, reps),
+        "ddk": (d.rate, d.used),
+    }
+    z = {k: (share - exact[k]) / math.sqrt(exact[k] * (1.0 - exact[k]) / m)
+         for k, (share, m) in observed.items()}
+    _record(
+        f"harness matches the exact null law at n=10, p1={p1}",
+        all(abs(v) <= 4.0 for v in z.values()),
+        "; ".join(f"{k} {observed[k][0]:.4f} vs exact {exact[k]:.4f} ({z[k]:+.1f} SE)" for k in z)
+        + f" (within 4 SE, {reps} reps)",
     )
 
 

@@ -298,6 +298,16 @@ def test_json_writes_undefined_rates_as_null():
         assert cell["used"] == 0 and cell["excluded"] == 150
 
 
+def test_csv_writes_undefined_rates_as_nan():
+    table = run(small_config(params=FamilyParams(lam=1.0, p1=0.0, a=1.0, seed=4)), workers=1)
+    header, *rows = to_csv(table).splitlines()
+    columns = header.split(",")
+    assert len(rows) == len(table.cells)
+    for row in rows:
+        fields = dict(zip(columns, row.split(",")))
+        assert fields["rate"] == "nan" and fields["stderr"] == "nan"
+
+
 def test_workers_bounded_by_available_cpus():
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     # resolving starts no process, so a huge request is safe to test

@@ -6,11 +6,56 @@ from pathlib import Path
 import crtest
 
 
-def test_lazy_names_behave_like_eager_ones():
-    # in a fresh interpreter, before any harness name is used
+# the public names of crtest 0.3.0
+EXPORTS = {
+    "__version__", "Sample", "FamilyParams", "rng_from_seed", "sample", "true_delta",
+    "DdkTestResult", "ddk_test", "ddk_z", "CrtestError", "DegenerateSample", "DomainError",
+    "HullViolation", "NegativeTime", "NoConvergence", "ParseError", "SampleTooSmall",
+    "UnmappedLabel", "IngestResult", "IngestSpec", "ingest", "ElSolution", "JelTestResult",
+    "jel_statistic", "jel_test", "solve_lambda", "SimCell", "SimConfig", "SimTable", "run",
+    "to_csv", "to_json", "chisq1_cdf", "chisq1_quantile", "chisq1_sf", "normal_cdf",
+    "normal_quantile", "JackknifeSet", "delta_hat", "jackknife",
+}
+
+
+def run_fresh(*lines: str) -> None:
+    """Run ``lines`` in a new interpreter that imports this checkout's crtest."""
     src = str(Path(crtest.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    code = "\n".join([
+    proc = subprocess.run(
+        [sys.executable, "-c", "\n".join(lines)], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_all_lists_each_public_name_once():
+    assert len(crtest.__all__) == len(set(crtest.__all__))
+    assert set(crtest.__all__) == EXPORTS
+
+
+def test_import_loads_ingest_and_its_imports_only():
+    run_fresh(
+        "import sys",
+        "import crtest",
+        "loaded = {m for m in sys.modules if m.split('.')[0] == 'crtest'}",
+        "expected = {'crtest', 'crtest._checks', 'crtest.data', 'crtest.errors', 'crtest.ingest'}",
+        "assert loaded == expected, sorted(loaded)",
+    )
+
+
+def test_ingest_stays_the_function_after_its_module_is_imported():
+    run_fresh(
+        "import crtest.ingest",
+        "import crtest",
+        "from crtest import ingest",
+        "assert crtest.ingest is ingest, ingest",
+        "assert callable(ingest) and ingest.__module__ == 'crtest.ingest', ingest",
+    )
+
+
+def test_lazy_names_behave_like_eager_ones():
+    # in a fresh interpreter, before any harness name is used
+    run_fresh(
         "import importlib, sys",
         "import crtest",
         "assert not {'crtest.mc', 'crtest.datagen', 'crtest.ddk'} & set(sys.modules)",
@@ -31,6 +76,4 @@ def test_lazy_names_behave_like_eager_ones():
         "else:",
         "    raise AssertionError('crtest.no_such_name resolved')",
         "assert not hasattr(crtest, 'no_such_name')",
-    ])
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
+    )
