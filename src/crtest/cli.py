@@ -105,8 +105,8 @@ def build_parser() -> argparse.ArgumentParser:
     w.add_argument("--method", choices=("jel", "ddk", "both"), default="both")
     w.add_argument("--ddk-one-sided", action="store_true",
                    help="upper-tail ddk decision in the table (default is two-sided)")
-    w.add_argument("--workers", type=int, default=None,
-                   help="worker processes (default: CRTEST_THREADS, 0 = auto)")
+    w.add_argument("--workers", type=int, default=0,
+                   help="worker processes (default 0 = one per CPU)")
     w.add_argument("--format", choices=("csv", "json"), default="csv")
     w.add_argument("--out", help="write the table here instead of stdout")
     w.set_defaults(run=_cmd_power, parser=w)

@@ -167,16 +167,8 @@ class SimTable:
         return self.cells[(method, float(a), int(n), float(alpha))]
 
 
-def _resolve_workers(workers: int | None) -> int:
-    what = "an integer >= 0 (0 = every CPU)"
-    if workers is None:
-        env = os.environ.get("CRTEST_THREADS", "").strip()
-        try:
-            workers = integer(int(env) if env else 0, "CRTEST_THREADS", what=what)
-        except ValueError:
-            raise ValueError(f"CRTEST_THREADS must be {what}, got {env!r}") from None
-    else:
-        workers = integer(workers, "workers", what=what)
+def _resolve_workers(workers: int) -> int:
+    workers = integer(workers, "workers", what="an integer >= 0 (0 = every CPU)")
     affinity = getattr(os, "sched_getaffinity", None)
     cpus = len(affinity(0)) if affinity else (os.cpu_count() or 1)
     return min(workers or cpus, cpus)
@@ -291,9 +283,9 @@ def _pool(workers: int):
     return _POOL[1]
 
 
-def run(config: SimConfig, workers: int | None = None) -> SimTable:
-    """Execute the harness; ``workers`` falls back to CRTEST_THREADS (0 = auto)
-    and is capped at the available CPUs and the task count.
+def run(config: SimConfig, workers: int = 0) -> SimTable:
+    """Execute the harness on ``workers`` processes (0 = one per CPU),
+    capped at the available CPUs and the task count.
 
     More than one worker runs the tasks on this process's shared pool (see
     the module docstring): it outlives the call, until interpreter exit, a

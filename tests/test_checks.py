@@ -144,14 +144,6 @@ def test_hostile_values_are_refused_or_taken_as_plain(entry, tmp_path):
             assert got == canonical(call, plain(value)), (entry, value)
 
 
-def test_hostile_thread_variable(monkeypatch):
-    for value in HOSTILE:
-        monkeypatch.setenv("CRTEST_THREADS", str(value))
-        got = canonical(lambda _: run_record(run(TINY_RUN)), None)
-        monkeypatch.setenv("CRTEST_THREADS", str(plain(value)))
-        assert got == canonical(lambda _: run_record(run(TINY_RUN)), None), value
-
-
 def test_grid_and_spec_values_seen_accepted_before():
     # each of these was accepted with a wrong meaning, or reached np.empty
     with pytest.raises(ValueError, match="n_grid"):

@@ -1,5 +1,4 @@
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -159,6 +158,21 @@ def test_usage_error_exits_2(capsys):
     assert cli_main([]) == 2
 
 
+@pytest.mark.parametrize("args, message", [
+    (["test", "--input", TOY, "--time-col", "time", "--cause-col", "status",
+      "--cause1", ",", "--cause2", "2"],
+     "argument --cause1: expected a comma-separated list of labels"),
+    (["power", "--a-grid", "1,x", "--n-grid", "20", "--p1", "0.3", "--seed", "1"],
+     "expected comma-separated numbers, got '1,x'"),
+    (["power", "--a-grid", "1.5", "--n-grid", "20,2.5", "--p1", "0.3", "--seed", "1"],
+     "expected comma-separated integers"),
+])
+def test_list_options_refuse_malformed_lists(args, message, capsys):
+    assert cli_main(args) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and message in err
+
+
 def test_help_exits_0(capsys):
     assert cli_main(["--help"]) == 0
     assert "crtest" in capsys.readouterr().out
@@ -166,7 +180,7 @@ def test_help_exits_0(capsys):
 
 def test_version(capsys):
     assert cli_main(["--version"]) == 0
-    assert "crtest 0.3.0" in capsys.readouterr().out
+    assert "crtest 0.4.0" in capsys.readouterr().out
 
 
 def test_simulate_csv(capsys):
@@ -266,11 +280,17 @@ def test_grid_options_take_unique_prefixes(capsys):
         assert capsys.readouterr().out.startswith("method,a,n,alpha")
 
 
+def fresh(*args: str) -> subprocess.CompletedProcess:
+    """``python *args`` in a new interpreter that imports this checkout's
+    crtest: ``-c`` and ``-m`` put the working directory, this checkout's
+    ``src``, first on ``sys.path``."""
+    src = Path(crtest.__file__).resolve().parents[1]
+    return subprocess.run([sys.executable, *args], cwd=src, capture_output=True, text=True)
+
+
 def test_cli_import_does_not_load_scipy():
     # importing crtest.cli loads no scipy, and with scipy unimportable every
     # public entry point, true_delta included, still runs
-    src = str(Path(crtest.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
     code = "\n".join([
         "import sys",
         "import crtest.cli",
@@ -285,18 +305,16 @@ def test_cli_import_does_not_load_scipy():
         "args = ['simulate', '--p1', '0.4', '--a', '1.5', '--n', '10', '--reps', '100', '--seed', '3']",
         "assert crtest.cli.cli_main(args) == 0",
     ])
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    proc = fresh("-c", code)
     assert proc.returncode == 0, proc.stderr
 
 
 def test_cli_import_does_not_load_process_pool():
-    src = str(Path(crtest.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
     for module in ("crtest", "crtest.cli"):
         code = (f"import {module}, sys; "
                 "loaded = [m for m in sys.modules if m.startswith('concurrent.futures')]; "
                 "assert not loaded, loaded; assert 'numpy.random' not in sys.modules")
-        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        proc = fresh("-c", code)
         assert proc.returncode == 0, (module, proc.stderr)
     # the harness loads numpy.random when imported, and the pool machinery
     # only when a run uses more than one worker
@@ -313,15 +331,13 @@ def test_cli_import_does_not_load_process_pool():
         "assert run(cfg, workers=1).metadata['workers'] == 1",
         "assert not pool_modules(), pool_modules()",
     ])
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    proc = fresh("-c", code)
     assert proc.returncode == 0, proc.stderr
 
 
 def test_cli_test_loads_no_harness():
     # `crtest test` loads only the statistic path: the jel test leaves the
     # harness and the ddk test unloaded, the ddk test loads only its module
-    src = str(Path(crtest.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
     harness = {"crtest.mc", "crtest.datagen", "crtest.ddk"}
     for method, wanted in (("jel", set()), ("ddk", {"crtest.ddk"})):
         code = "\n".join([
@@ -331,20 +347,17 @@ def test_cli_test_loads_no_harness():
             "assert crtest.cli.cli_main(args) == 0",
             f"print(sorted(m for m in {sorted(harness)!r} if m in sys.modules), file=sys.stderr)",
         ])
-        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        proc = fresh("-c", code)
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["method"] == method
         assert proc.stderr == f"{sorted(wanted)!r}\n", method
 
 
 def test_module_entry_point_runs_the_cli():
-    src = str(Path(crtest.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
     for module in ("crtest", "crtest.cli"):
-        entry = [sys.executable, "-m", module]
-        proc = subprocess.run([*entry, "--version"], env=env, capture_output=True, text=True)
+        proc = fresh("-m", module, "--version")
         assert (proc.returncode, proc.stdout) == (0, f"crtest {crtest.__version__}\n"), (module, proc.stderr)
-        proc = subprocess.run([*entry, "test"], env=env, capture_output=True, text=True)
+        proc = fresh("-m", module, "test")
         assert proc.returncode == 2 and "usage: crtest test" in proc.stderr, module
 
 

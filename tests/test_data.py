@@ -70,3 +70,12 @@ def test_sample_does_not_alias_caller_arrays():
     s = Sample.from_arrays(t, c)
     t[0] = 99.0
     assert s.times[0] == 1.0
+
+
+def test_sample_helpers():
+    s = Sample.from_arrays([1.0, 2.0], [1, 2])
+    with pytest.raises(ValueError, match=r"^cause must be 1 or 2, got 3$"):
+        s.count_cause(3)
+    # a non-Sample compares unequal through NotImplemented, not an error
+    assert (s == 3) is False and (s != 3) is True
+    assert repr(s) == "Sample(n=2, cause1=1, cause2=1)"

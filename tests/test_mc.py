@@ -317,10 +317,10 @@ def test_workers_bounded_by_available_cpus():
     with pytest.raises(ValueError):
         _resolve_workers(-1)
     # False would otherwise mean every CPU, and True would be recorded as true
-    for value in (1.5, 2.0, "2", True, False):
+    for value in (1.5, 2.0, "2", True, False, None):
         with pytest.raises(ValueError, match="workers must be an integer"):
             _resolve_workers(value)
-    for value in (1.5, True):
+    for value in (1.5, True, None):
         with pytest.raises(ValueError, match="workers must be an integer"):
             run(small_config(), workers=value)
 
@@ -329,18 +329,6 @@ def test_workers_bounded_by_task_count():
     # 100 replications of one cell make two blocks of 50
     table = run(small_config(reps=100), workers=8)
     assert table.metadata["workers"] == min(2, _resolve_workers(8))
-
-
-@pytest.mark.parametrize("value", ["two", "1.5"])
-def test_non_integer_thread_variable_is_named_in_error(monkeypatch, value):
-    monkeypatch.setenv("CRTEST_THREADS", value)
-    with pytest.raises(ValueError, match="CRTEST_THREADS"):
-        _resolve_workers(None)
-
-
-def test_thread_variable_sets_requested_workers(monkeypatch):
-    monkeypatch.setenv("CRTEST_THREADS", "1")
-    assert _resolve_workers(None) == 1
 
 
 def replay(cfg, a_idx, n_idx):
@@ -591,8 +579,6 @@ def test_lopsided_grid_gives_the_serial_cells_at_every_worker_count(monkeypatch)
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                     reason="workers inherit the parent's imports only when forked")
 def test_pool_workers_start_with_numpy_random_loaded():
-    src = str(Path(crtest.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
     code = "\n".join([
         "import os, sys",
         "os.sched_getaffinity = lambda pid: {0, 1}",
@@ -611,7 +597,7 @@ def test_pool_workers_start_with_numpy_random_loaded():
         "                alpha_grid=(0.05,), a_grid=(1.0,), reps=100)",
         "assert run(cfg, workers=2).metadata['workers'] == 2",
     ])
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    proc = run_script(code)
     assert proc.returncode == 0, proc.stderr
 
 
@@ -669,10 +655,10 @@ def run_script(code):
     """Run ``code`` in a fresh interpreter, outside the suite's warning filters:
     a fork next to the live pool's two threads, or next to other threads, is
     one of a multi-threaded process, which Python 3.12+ reports with a
-    DeprecationWarning."""
-    src = str(Path(crtest.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
-    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    DeprecationWarning.  ``-c`` puts the working directory, this checkout's
+    ``src``, first on ``sys.path``."""
+    src = Path(crtest.__file__).resolve().parents[1]
+    return subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True,
                           text=True, timeout=300)
 
 

@@ -1,4 +1,3 @@
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -6,7 +5,7 @@ from pathlib import Path
 import crtest
 
 
-# the public names of crtest 0.3.0
+# the public names of crtest 0.4.0
 EXPORTS = {
     "__version__", "Sample", "FamilyParams", "rng_from_seed", "sample", "true_delta",
     "DdkTestResult", "ddk_test", "ddk_z", "CrtestError", "DegenerateSample", "DomainError",
@@ -19,11 +18,12 @@ EXPORTS = {
 
 
 def run_fresh(*lines: str) -> None:
-    """Run ``lines`` in a new interpreter that imports this checkout's crtest."""
-    src = str(Path(crtest.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
+    """Run ``lines`` in a new interpreter that imports this checkout's crtest:
+    ``-c`` puts the working directory, this checkout's ``src``, first on
+    ``sys.path``."""
+    src = Path(crtest.__file__).resolve().parents[1]
     proc = subprocess.run(
-        [sys.executable, "-c", "\n".join(lines)], env=env, capture_output=True, text=True
+        [sys.executable, "-c", "\n".join(lines)], cwd=src, capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
 
