@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 from pathlib import Path
 
@@ -31,7 +30,6 @@ from .ingest import IngestResult, IngestSpec, ingest
 from .jel import jel_test
 
 SCHEMA_VERSION = 1  # of the ``test`` report
-_INT_RE = re.compile(r"^\d+$")
 
 
 def _labels(text: str) -> frozenset[str]:
@@ -52,8 +50,9 @@ def _list(kind, what: str):
 
 
 def _column(text: str) -> str | int:
-    # pure digits are treated as a zero-based position, anything else as a name
-    return int(text) if _INT_RE.match(text) else text
+    # ASCII digits alone are a zero-based position, anything else a name:
+    # int() would also take other scripts' digits and surrounding whitespace
+    return int(text) if text.isascii() and text.isdigit() else text
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,4 +1,5 @@
-"""The sample container for two-cause competing risks data.
+"""The sample container for two-cause competing risks data, and the base of
+crtest's result and parameter records.
 
 A sample is n failure times, each paired with which of two competing causes
 produced it.  :meth:`Sample.from_arrays` is its one constructor: it validates
@@ -11,6 +12,66 @@ from __future__ import annotations
 import numpy as np
 
 from ._checks import reals
+
+
+class Record:
+    """A frozen record whose fields are its class's annotations, in order.
+
+    A field's default is its class attribute.  ``__post_init__`` runs once
+    the fields are set, and may still fix them with ``object.__setattr__``;
+    after that, assignment and deletion raise ``AttributeError``.  Records of
+    one class are equal when their fields are, hash and print by their
+    fields, and ``vars(record)`` is the field dict.  Making a class generates
+    and compiles no code, which keeps import time down.
+    """
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.__match_args__ = tuple(cls.__annotations__)
+
+    def __init__(self, *args, **kwargs):
+        object.__setattr__(self, "__dict__", self._fields_of(args, kwargs))
+        self.__post_init__()
+
+    @classmethod
+    def _fields_of(cls, args: tuple, kwargs: dict) -> dict:
+        """The field dict, in field order, of a call's arguments and the defaults."""
+        fields, name = cls.__match_args__, cls.__qualname__
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} fields but {len(args)} were given")
+        values = dict(zip(fields, args))
+        for field in kwargs:
+            if field not in fields:
+                raise TypeError(f"{name}() got an unexpected field {field!r}")
+            if field in values:
+                raise TypeError(f"{name}() got multiple values for field {field!r}")
+        values.update(kwargs)
+        defaults = vars(cls)
+        missing = [f for f in fields if f not in values and f not in defaults]
+        if missing:
+            raise TypeError(f"{name}() missing fields: {', '.join(map(repr, missing))}")
+        return {f: values[f] if f in values else defaults[f] for f in fields}
+
+    def __post_init__(self) -> None:
+        pass
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(vars(self).values()))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in vars(self).items())
+        return f"{self.__class__.__qualname__}({fields})"
 
 
 class Sample:

@@ -20,20 +20,18 @@ J = 1 with conditional probability f1(T)/f(T) = p1 * a * F(T)**(a - 1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from ._checks import integer, real
-from .data import Sample
+from .data import Record, Sample
 
 GENERATOR = "numpy-pcg64"
 SEED_SCHEME = "SeedSequence(entropy=seed, spawn_key=(a_index, n_index, replication))"
 
 
-@dataclass(frozen=True)
-class FamilyParams:
+class FamilyParams(Record):
     """Family parameters; ``lam`` is the exponential baseline rate."""
 
     lam: float

@@ -25,12 +25,11 @@ ordered alternative where only delta > 0 is of interest.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from ._checks import flag, level
-from .data import Sample
+from .data import Record, Sample
 from .errors import DegenerateSample, SampleTooSmall
 from .specialfn import normal_quantile, normal_sf
 from .ustat import delta_hat
@@ -78,8 +77,7 @@ def _rejects(z, alphas: tuple[float, ...], two_sided: bool) -> np.ndarray:
     return side[..., None] > [normal_quantile(1.0 - (al / 2.0 if two_sided else al)) for al in alphas]
 
 
-@dataclass(frozen=True)
-class DdkTestResult:
+class DdkTestResult(Record):
     """Outcome of the normal-calibrated concordance test."""
 
     z: float

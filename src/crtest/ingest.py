@@ -15,16 +15,14 @@ import hashlib
 import io
 import math
 import os
-from dataclasses import dataclass
 from pathlib import Path
 
 from ._checks import flag, integer, items
-from .data import Sample
+from .data import Record, Sample
 from .errors import NegativeTime, ParseError, UnmappedLabel
 
 
-@dataclass(frozen=True)
-class IngestSpec:
+class IngestSpec(Record):
     """How to read one CSV file.
 
     ``time_column`` / ``cause_column`` are header names (str) or zero-based
@@ -66,8 +64,7 @@ class IngestSpec:
                              " for both")
 
 
-@dataclass(frozen=True)
-class IngestResult:
+class IngestResult(Record):
     """A parsed sample plus its row counts and the file's fingerprint.
 
     ``n_used + n_dropped == rows_parsed`` always; ``fingerprint`` is the

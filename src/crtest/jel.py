@@ -46,12 +46,11 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
 from ._checks import level, real, reals
-from .data import Sample
+from .data import Record, Sample
 from .errors import HullViolation, NoConvergence, SampleTooSmall
 from .specialfn import chisq1_quantile, chisq1_sf
 from .ustat import jackknife
@@ -63,8 +62,7 @@ _MAX_ITER = 100
 _MARGIN = 1e-9
 
 
-@dataclass(frozen=True)
-class ElSolution:
+class ElSolution(Record):
     """Solved weight profile for one hypothesized pseudo-value mean.
 
     ``lam`` is the Lagrange multiplier, ``weights`` the maximizing
@@ -233,8 +231,7 @@ def solve_lambda(pseudo_values, delta0: float) -> ElSolution:
     return el
 
 
-@dataclass(frozen=True)
-class JelTestResult:
+class JelTestResult(Record):
     """Outcome of the empirical-likelihood independence test."""
 
     statistic: float

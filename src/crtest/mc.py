@@ -55,13 +55,13 @@ import math
 import os
 import threading
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__
 from ._checks import BLOCK_ELEMS as _BLOCK_ELEMS
 from ._checks import flag, integer, items, level, real
+from .data import Record
 from .datagen import GENERATOR, SEED_SCHEME, FamilyParams, draw, uniform_rows
 from .ddk import _rejects, zstat
 from .jel import jel_statistics
@@ -95,8 +95,7 @@ if hasattr(os, "register_at_fork"):  # absent where there is no fork
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-@dataclass(frozen=True)
-class SimConfig:
+class SimConfig(Record):
     """Grids and budget for one harness run.
 
     ``params`` supplies the baseline rate, cause-1 mass and master seed; its
@@ -136,8 +135,7 @@ class SimConfig:
                 raise ValueError(f"{name} must not repeat a value, got {grid!r}")
 
 
-@dataclass(frozen=True)
-class SimCell:
+class SimCell(Record):
     """Rejection rate for one (method, a, n, alpha) combination."""
 
     method: str
@@ -153,8 +151,7 @@ class SimCell:
     newton_iters_max: int = 0
 
 
-@dataclass
-class SimTable:
+class SimTable(Record):
     """All cells of a run plus reproduction metadata."""
 
     cells: dict[tuple[str, float, int, float], SimCell]

@@ -25,11 +25,9 @@ change any result, and an unstable sort is as exact as a stable one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .data import Sample
+from .data import Record, Sample
 from .errors import SampleTooSmall
 
 
@@ -112,8 +110,7 @@ def delta_hat(sample: Sample) -> float:
     return 2.0 * total / (n * (n - 1))
 
 
-@dataclass(frozen=True)
-class JackknifeSet:
+class JackknifeSet(Record):
     """The pair-average estimate plus its n leave-one-out pseudo-values.
 
     The pseudo-values satisfy mean(pseudo_values) == delta_hat up to float

@@ -8,7 +8,6 @@ other exception, a ``TypeError``, ``AttributeError`` or ``MemoryError``
 among them, fails the test.
 """
 
-import dataclasses
 import json
 import math
 
@@ -78,12 +77,17 @@ def run_record(table):
     return [payload["cells"], payload["metadata"]["workers"]]
 
 
+def fields(record) -> dict:
+    """``vars(record)``, with a ``FamilyParams`` field (``SimConfig.params``) as its own dict."""
+    return {k: vars(v) if isinstance(v, FamilyParams) else v for k, v in vars(record).items()}
+
+
 def family(field):
-    return lambda v: dataclasses.asdict(FamilyParams(**{**PARAMS, field: v}))
+    return lambda v: fields(FamilyParams(**{**PARAMS, field: v}))
 
 
 def config(field, wrap=lambda v: v):
-    return lambda v: dataclasses.asdict(SimConfig(**{**CONFIG, field: wrap(v)}))
+    return lambda v: fields(SimConfig(**{**CONFIG, field: wrap(v)}))
 
 
 def ingested(csv_path, field, wrap=lambda v: v):

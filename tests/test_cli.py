@@ -104,6 +104,16 @@ def test_no_header_with_indices(tmp_path, capsys):
     ])
     assert code == 0
     assert "rows used:     4" in capsys.readouterr().out
+    # only ASCII digits make an index: these stay names, which need a header
+    for name in ("1\n", "\u0663"):  # the second is ARABIC-INDIC DIGIT THREE
+        code = cli_main([
+            "test", "--input", str(f), "--no-header",
+            "--time-col", name, "--cause-col", "1",
+            "--cause1", "1", "--cause2", "2",
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == (f"error: column {name!r} is a name but the file has"
+                                           " no header; use an index\n")
 
 
 def test_unmapped_label_exits_1(tmp_path, capsys):
@@ -180,7 +190,7 @@ def test_help_exits_0(capsys):
 
 def test_version(capsys):
     assert cli_main(["--version"]) == 0
-    assert "crtest 0.4.0" in capsys.readouterr().out
+    assert "crtest 0.5.0" in capsys.readouterr().out
 
 
 def test_simulate_csv(capsys):
@@ -337,15 +347,20 @@ def test_cli_import_does_not_load_process_pool():
 
 def test_cli_test_loads_no_harness():
     # `crtest test` loads only the statistic path: the jel test leaves the
-    # harness and the ddk test unloaded, the ddk test loads only its module
-    harness = {"crtest.mc", "crtest.datagen", "crtest.ddk"}
+    # harness and the ddk test unloaded, the ddk test loads only its module.
+    # Neither loads dataclasses, whose code generation costs start-up time,
+    # beyond what a bare argparse parser loads (3.14's help formatter does)
+    watched = {"crtest.mc", "crtest.datagen", "crtest.ddk", "dataclasses"}
     for method, wanted in (("jel", set()), ("ddk", {"crtest.ddk"})):
         code = "\n".join([
-            "import sys",
+            "import argparse, sys",
+            "argparse.ArgumentParser().add_argument('--x')",
+            "baseline = set(sys.modules)",
             "import crtest.cli",
             f"args = {BASE_TEST_ARGS + ['--method', method, '--format', 'json']!r}",
             "assert crtest.cli.cli_main(args) == 0",
-            f"print(sorted(m for m in {sorted(harness)!r} if m in sys.modules), file=sys.stderr)",
+            "added = set(sys.modules) - baseline",
+            f"print(sorted(m for m in {sorted(watched)!r} if m in added), file=sys.stderr)",
         ])
         proc = fresh("-c", code)
         assert proc.returncode == 0, proc.stderr
