@@ -8,7 +8,7 @@ with tunable dependence, and a Monte Carlo rejection-rate harness.
 on first use, so ``crtest test`` never loads the harness.
 """
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 import importlib
 
@@ -22,13 +22,11 @@ from .ingest import ingest
 _LAZY = {
     **dict.fromkeys(("Sample",), "data"),
     **dict.fromkeys(("FamilyParams", "rng_from_seed", "sample", "true_delta"), "datagen"),
-    **dict.fromkeys(("DdkTestResult", "ddk_test", "ddk_z"), "ddk"),
-    **dict.fromkeys(("CrtestError", "DegenerateSample", "DomainError", "HullViolation",
-                     "NegativeTime", "NoConvergence", "ParseError", "SampleTooSmall",
-                     "UnmappedLabel"), "errors"),
+    **dict.fromkeys(("DdkTestResult", "ddk_test"), "ddk"),
+    **dict.fromkeys(("CrtestError", "DegenerateSample", "DomainError", "NegativeTime",
+                     "NoConvergence", "ParseError", "SampleTooSmall", "UnmappedLabel"), "errors"),
     **dict.fromkeys(("IngestResult", "IngestSpec"), "ingest"),
-    **dict.fromkeys(("ElSolution", "JelTestResult", "jel_statistic", "jel_test",
-                     "solve_lambda"), "jel"),
+    **dict.fromkeys(("ElSolution", "JelTestResult", "jel_statistic", "jel_test"), "jel"),
     **dict.fromkeys(("SimCell", "SimConfig", "SimTable", "run", "to_csv", "to_json"), "mc"),
     **dict.fromkeys(("chisq1_cdf", "chisq1_quantile", "chisq1_sf", "normal_cdf",
                      "normal_quantile"), "specialfn"),

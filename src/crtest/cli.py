@@ -3,10 +3,8 @@
 Two subcommands:
 
 * ``test``   — run one independence test on a CSV file
-* ``power``  — rejection-rate table over (a, n, alpha) grids; ``simulate``
-  is its one-cell name, where ``--a`` stands for ``--a-grid`` and
-  ``--n`` and ``--alpha`` abbreviate ``--n-grid`` and ``--alphas``, so
-  ``simulate`` takes comma-separated lists too
+* ``power``  — rejection-rate table over (a, n, alpha) grids; one cell is
+  a grid of one value each
 
 The CLI owns its outputs: this module writes the ``test`` report (text,
 or JSON at ``SCHEMA_VERSION``), and ``power`` writes ``mc``'s table as CSV
@@ -86,10 +84,8 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--out", help="write the report here instead of stdout")
     t.set_defaults(run=_cmd_test, parser=t)
 
-    w = sub.add_parser("power", aliases=["simulate"],
-                       help="rejection-rate table over (a, n, alpha) grids; "
-                       "simulate is its name for one cell")
-    w.add_argument("--a-grid", "--a", type=_list(float, "numbers"), required=True,
+    w = sub.add_parser("power", help="rejection-rate table over (a, n, alpha) grids")
+    w.add_argument("--a-grid", type=_list(float, "numbers"), required=True,
                    help="comma-separated dependence parameters in [1, 2]")
     w.add_argument("--n-grid", type=_list(int, "integers"), required=True,
                    help=f"comma-separated sample sizes, each 3 to {BLOCK_ELEMS}")
@@ -172,7 +168,6 @@ def _cmd_test(args: argparse.Namespace) -> str:
 
 
 def _cmd_power(args: argparse.Namespace) -> str:
-    """Run ``power``, also when called by its one-cell name ``simulate``."""
     if args.ddk_one_sided and args.method == "jel":
         args.parser.error("--ddk-one-sided applies to --method ddk or both only")
     from .datagen import FamilyParams

@@ -20,9 +20,10 @@ class Record:
     A field's default is its class attribute.  ``__post_init__`` runs once
     the fields are set, and may still fix them with ``object.__setattr__``;
     after that, assignment and deletion raise ``AttributeError``.  Records of
-    one class are equal when their fields are, hash and print by their
-    fields, and ``vars(record)`` is the field dict.  Making a class generates
-    and compiles no code, which keeps import time down.
+    one class are equal when their fields are, an array field by its values;
+    they hash and print by their fields, and ``vars(record)`` is the field
+    dict.  A record holding an array or a dict is unhashable.  Making a class
+    generates and compiles no code, which keeps import time down.
     """
 
     def __init_subclass__(cls, **kwargs):
@@ -64,7 +65,9 @@ class Record:
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return vars(self) == vars(other)
+        # an array's == is elementwise, which has no single truth value
+        return all(a is b or (np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b)
+                   for a, b in zip(vars(self).values(), vars(other).values()))
 
     def __hash__(self) -> int:
         return hash(tuple(vars(self).values()))

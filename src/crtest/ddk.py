@@ -20,6 +20,10 @@ The default decision is two-sided, which detects departures in either
 direction and is the calibration comparable with the symmetric chi-square
 test in :mod:`crtest.jel`; a one-sided upper-tail variant is exposed for the
 ordered alternative where only delta > 0 is of interest.
+
+``ddk_test`` is the one entry for a sample: its result carries z, p1_hat
+and delta_hat next to the decision.  ``zstat`` and ``_rejects`` serve the
+Monte Carlo harness, which computes the pieces for a whole block at once.
 """
 
 from __future__ import annotations
@@ -52,20 +56,6 @@ def zstat(d_hat, p1_hat, n: int):
     return float(z) if z.ndim == 0 else z
 
 
-def ddk_z(sample: Sample) -> tuple[float, float, float]:
-    """Compute ``(z, p1_hat, delta_hat)`` for a sample.
-
-    Raises :class:`DegenerateSample` when only one cause appears (the
-    plug-in null variance is zero) and :class:`SampleTooSmall` for n < 2.
-    """
-    n = sample.n
-    if n < 2:
-        raise SampleTooSmall(f"the z statistic needs n >= 2 observations, got {n}")
-    p1_hat = sample.count_cause(1) / n
-    d_hat = delta_hat(sample)
-    return zstat(d_hat, p1_hat, n), p1_hat, d_hat
-
-
 def _rejects(z, alphas: tuple[float, ...], two_sided: bool) -> np.ndarray:
     """The decision rule at each level of ``alphas``, along a new last axis.
 
@@ -94,9 +84,18 @@ class DdkTestResult(Record):
 
 
 def ddk_test(sample: Sample, alpha: float = 0.05, two_sided: bool = True) -> DdkTestResult:
-    """Run the concordance test at level ``alpha`` (two-sided by default)."""
+    """Run the concordance test at level ``alpha`` (two-sided by default).
+
+    Raises :class:`DegenerateSample` when only one cause appears (the
+    plug-in null variance is zero) and :class:`SampleTooSmall` for n < 2.
+    """
     alpha, two_sided = level(alpha), flag(two_sided, "two_sided")
-    z, p1_hat, d_hat = ddk_z(sample)
+    n = sample.n
+    if n < 2:
+        raise SampleTooSmall(f"the z statistic needs n >= 2 observations, got {n}")
+    p1_hat = sample.count_cause(1) / n
+    d_hat = delta_hat(sample)
+    z = zstat(d_hat, p1_hat, n)
     return DdkTestResult(
         z=z,
         p_value=2.0 * normal_sf(abs(z)) if two_sided else normal_sf(z),
@@ -105,5 +104,5 @@ def ddk_test(sample: Sample, alpha: float = 0.05, two_sided: bool = True) -> Ddk
         two_sided=two_sided,
         p1_hat=p1_hat,
         delta_hat=d_hat,
-        n=sample.n,
+        n=n,
     )

@@ -20,14 +20,6 @@ class DegenerateSample(CrtestError):
     """The sample carries no usable signal for the requested statistic."""
 
 
-class HullViolation(CrtestError):
-    """The hypothesized value lies outside the open hull of the pseudo-values.
-
-    The empirical-likelihood weight problem is infeasible in this case; the
-    test treats it as infinitely strong evidence against the hypothesis.
-    """
-
-
 class NoConvergence(CrtestError):
     """An iterative solver failed to meet its tolerance within the cap."""
 

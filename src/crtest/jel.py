@@ -22,9 +22,8 @@ solvable rows by one safeguarded Newton iteration (Owen, Empirical
 Likelihood, 2001, ch. 3) vectorised over them: each row keeps its own
 bracket and stops on its own, so a row solved in a stack gets exactly the
 result of solving it alone.  It serves the Monte Carlo harness a whole
-block at a time; ``jel_statistic`` is its one-row case and ``solve_lambda``
-that case at a shifted mean, so the single-sample API and the harness run
-the same code.
+block at a time; ``jel_statistic`` is its one-row case at any hypothesised
+mean delta0, so the single-sample API and the harness run the same code.
 
 The harness only asks which side of each chi-square quantile a statistic
 falls on, so it passes those quantiles as thresholds and a row stops as
@@ -51,7 +50,7 @@ import numpy as np
 
 from ._checks import level, real, reals
 from .data import Record, Sample
-from .errors import HullViolation, NoConvergence, SampleTooSmall
+from .errors import NoConvergence, SampleTooSmall
 from .specialfn import chisq1_quantile, chisq1_sf
 from .ustat import jackknife
 
@@ -171,28 +170,36 @@ def jel_statistics(
     return stat, degenerate, iterations, lam, residual
 
 
-def jel_statistic(pseudo_values) -> tuple[float, bool, bool, ElSolution | None]:
-    """-2 log ratio at the independence value delta0 = 0.
+def jel_statistic(pseudo_values, delta0: float = 0.0) -> tuple[float, bool, bool, ElSolution | None]:
+    """-2 log ratio at the hypothesised mean ``delta0``, by default the
+    independence value 0.
 
     Returns ``(statistic, hull_ok, degenerate, el)``: the one-row case of
-    :func:`jel_statistics`, plus the solved weight profile.  Degenerate means
-    every pseudo-value is exactly zero (e.g. a single observed cause): the
-    constraint is trivially met, statistic 0, lam 0 and uniform weights.
-    When 0 falls outside the pseudo-value hull the statistic is +inf —
-    unbounded evidence against independence — and ``el`` is None.
-    Anything but a 1-d array of finite real numbers raises ``ValueError``.
+    :func:`jel_statistics` on ``pseudo_values - delta0``, plus the solved
+    weight profile.  Degenerate means every pseudo-value equals ``delta0``
+    (e.g. a single observed cause at delta0 = 0): the constraint is
+    trivially met, statistic 0, lam 0 and uniform weights.  When ``delta0``
+    is not strictly inside the pseudo-value hull the weight problem is
+    infeasible: the statistic is +inf — unbounded evidence against the
+    hypothesis — and ``el`` is None.  Raises :class:`NoConvergence` if the
+    solve hits its iteration cap.  Pseudo-values other than a 1-d array of
+    finite real numbers, or a ``delta0`` that is not a finite real number,
+    raise ``ValueError``.
     """
     v = reals(pseudo_values, "pseudo-values")
+    delta0 = real(delta0, "delta0", -math.inf, math.inf, "()", what="finite and real")
     n = v.size
     if n < 2:
         raise SampleTooSmall(f"empirical likelihood needs n >= 2 pseudo-values, got {n}")
-    # a NaN fails both hull comparisons and would read as a hull violation
-    if not np.isfinite(v).all():
+    d = v - delta0
+    # a NaN fails both hull comparisons and would read as a hull violation;
+    # this also refuses finite values whose difference overflows
+    if not np.isfinite(d).all():
         raise ValueError("pseudo-values must be finite")
-    stat, degenerate, iterations, lam, residual = jel_statistics(v[None, :])
+    stat, degenerate, iterations, lam, residual = jel_statistics(d[None, :])
     if math.isinf(stat[0]):
         return math.inf, False, False, None
-    weights = 1.0 / (n * (1.0 + lam[0] * v))
+    weights = 1.0 / (n * (1.0 + lam[0] * d))
     weights.flags.writeable = False
     el = ElSolution(
         lam=float(lam[0]),
@@ -203,32 +210,6 @@ def jel_statistic(pseudo_values) -> tuple[float, bool, bool, ElSolution | None]:
         residual=float(residual[0]),
     )
     return float(stat[0]), True, bool(degenerate[0]), el
-
-
-def solve_lambda(pseudo_values, delta0: float) -> ElSolution:
-    """Solve the score equation at the hypothesized mean ``delta0``.
-
-    Newton steps safeguarded by bisection on a maintained sign bracket;
-    converged when the absolute score drops to 1e-10, capped at 100
-    iterations.  This is :func:`jel_statistic` on ``pseudo_values - delta0``.
-
-    Raises :class:`HullViolation` when ``delta0`` is not strictly inside
-    (min V, max V) — the weight problem is infeasible there — and
-    :class:`NoConvergence` if the cap is hit.  An all-equal pseudo-value
-    vector with ``delta0`` equal to that value is the trivial feasible case:
-    uniform weights, lam = 0, log-ratio 0.  A ``delta0`` that is not a
-    finite real number, or pseudo-values :func:`jel_statistic` refuses,
-    raise ``ValueError``.
-    """
-    v = reals(pseudo_values, "pseudo-values")
-    delta0 = real(delta0, "delta0", -math.inf, math.inf, "()", what="finite and real")
-    el = jel_statistic(v - delta0)[3]
-    if el is None:
-        raise HullViolation(
-            f"delta0={delta0!r} is outside the open hull "
-            f"({float(v.min())!r}, {float(v.max())!r}) of the pseudo-values"
-        )
-    return el
 
 
 class JelTestResult(Record):

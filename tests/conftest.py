@@ -1,4 +1,29 @@
+import subprocess
 import sys
+from pathlib import Path
+
+import pytest
+
+
+@pytest.fixture
+def fresh():
+    """A function that runs ``python *args`` in a new interpreter and returns
+    the completed process, its output captured as text.
+
+    The interpreter imports this checkout's crtest: it starts in the
+    checkout's ``src``, which ``-c`` and ``-m`` put first on ``sys.path``.
+    It runs outside the suite's warning filters, so a script may fork next
+    to threads, which Python 3.12+ reports with a DeprecationWarning.
+    """
+    import crtest
+
+    src = Path(crtest.__file__).resolve().parents[1]
+
+    def run(*args: str) -> subprocess.CompletedProcess:
+        return subprocess.run([sys.executable, *args], cwd=src, capture_output=True, text=True,
+                              timeout=300)
+
+    return run
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

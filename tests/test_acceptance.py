@@ -28,7 +28,6 @@ from crtest import (
     rng_from_seed,
     run,
     sample,
-    solve_lambda,
 )
 from crtest.datagen import sub_distribution_cause1
 from crtest.ddk import _rejects, zstat
@@ -104,7 +103,7 @@ def test_mean_of_pseudo_values_equals_point_estimate():
 
 
 def test_closed_form_profile_solve():
-    el = solve_lambda(np.array([-1.0, 1.0, 1.0]), 0.0)
+    el = jel_statistic(np.array([-1.0, 1.0, 1.0]))[3]
     stat = -2.0 * el.log_ratio
     lam_err = abs(el.lam - CLOSED_FORM_LAMBDA)
     stat_err = abs(stat - 0.339798)

@@ -26,7 +26,6 @@ from crtest import (
     jel_test,
     run,
     sample,
-    solve_lambda,
     to_json,
 )
 from crtest.cli import cli_main
@@ -103,7 +102,7 @@ def entries(csv_path):
         "Sample.from_arrays causes": lambda v: record(Sample.from_arrays([1.0], [v])),
         "Sample.from_arrays arrays": lambda v: record(Sample.from_arrays(v, v)),
         "jel_statistic pseudo-values": lambda v: jel_record(jel_statistic([-1.0, v, 2.0])),
-        "solve_lambda delta0": lambda v: el_record(solve_lambda([-1.0, 0.5, 2.0], v)),
+        "jel_statistic delta0": lambda v: jel_record(jel_statistic([-1.0, 0.5, 2.0], v)),
         **{f"FamilyParams.{f}": family(f) for f in ("lam", "p1", "a", "seed")},
         "SimConfig.params": config("params"),
         **{f"SimConfig.{f}": config(f) for f in ("n_grid", "alpha_grid", "a_grid", "methods")},
@@ -168,8 +167,8 @@ def test_grid_and_spec_values_seen_accepted_before():
     assert IngestSpec(path="x.csv", **{**SPEC, "time_column": np.int64(0)}).time_column == 0
     # strings and bools, also a bool among numbers, are not real numbers
     for call, args in [
-        (solve_lambda, ([-1.0, 0.5, 2.0], "0.1")),
-        (solve_lambda, ([-1.0, 0.5, 2.0], None)),
+        (jel_statistic, ([-1.0, 0.5, 2.0], "0.1")),
+        (jel_statistic, ([-1.0, 0.5, 2.0], None)),
         (jel_statistic, (["-1", "1", "1"],)),
         (jel_statistic, ([True, False, True],)),
         (jel_statistic, ([[-1.0, 1.0, 1.0]],)),
@@ -196,13 +195,13 @@ def test_grid_and_spec_values_seen_accepted_before():
 
 
 @pytest.mark.parametrize("argv", [
-    ["simulate", "--n", "1099511627776", "--a", "1.5"],
+    ["power", "--n-grid", "1099511627776", "--a-grid", "1.5"],
     ["power", "--n-grid", "20,1099511627776", "--a-grid", "1.5", "--alphas", "0.05"],
-    ["simulate", "--n", "20", "--a", "nan"],
-    ["simulate", "--n", "20", "--a", "1.5", "--alpha", "inf"],
-    ["simulate", "--n", "20", "--a", "1.5", "--lambda", "inf"],
-    ["simulate", "--n", "20", "--a", "1.5", "--workers", "-1"],
-    ["simulate", "--n", "20", "--a", "1.5", "--reps", "4294967297"],
+    ["power", "--n-grid", "20", "--a-grid", "nan"],
+    ["power", "--n-grid", "20", "--a-grid", "1.5", "--alphas", "inf"],
+    ["power", "--n-grid", "20", "--a-grid", "1.5", "--lambda", "inf"],
+    ["power", "--n-grid", "20", "--a-grid", "1.5", "--workers", "-1"],
+    ["power", "--n-grid", "20", "--a-grid", "1.5", "--reps", "4294967297"],
 ])
 def test_cli_refuses_hostile_values_cleanly(argv, capsys):
     assert cli_main([*argv, "--p1", "0.3", "--seed", "1"]) == 1

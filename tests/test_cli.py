@@ -1,6 +1,4 @@
 import json
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -54,7 +52,7 @@ def test_one_sided_is_for_ddk_only(capsys):
 
 def test_ddk_one_sided_is_for_ddk_cells_only(capsys):
     # a jel-only table has no ddk cell, so the flag would be silently ignored
-    for command in (["simulate", "--a", "1.0", "--n", "10"],
+    for command in (["power", "--a-grid", "1.0", "--n-grid", "10"],
                     ["power", "--a-grid", "1.0", "--n-grid", "10", "--alphas", "0.05"]):
         args = command + ["--p1", "0.4", "--reps", "100", "--seed", "4", "--ddk-one-sided"]
         assert cli_main(args + ["--method", "jel"]) == 2
@@ -86,7 +84,7 @@ def test_out_file(tmp_path, capsys):
 
 def test_unwritable_out_exits_1(tmp_path, capsys):
     dest = tmp_path / "missing" / "report.json"
-    for args in (BASE_TEST_ARGS, ["simulate", "--p1", "0.4", "--a", "1.0", "--n", "10",
+    for args in (BASE_TEST_ARGS, ["power", "--p1", "0.4", "--a-grid", "1.0", "--n-grid", "10",
                                   "--reps", "100", "--seed", "4"]):
         assert cli_main(args + ["--out", str(dest)]) == 1
         out, err = capsys.readouterr()
@@ -190,13 +188,14 @@ def test_help_exits_0(capsys):
 
 def test_version(capsys):
     assert cli_main(["--version"]) == 0
-    assert "crtest 0.5.0" in capsys.readouterr().out
+    assert "crtest 0.6.0" in capsys.readouterr().out
 
 
 def test_simulate_csv(capsys):
+    # one simulation cell is a power table of one (a, n, alpha)
     code = cli_main([
-        "simulate", "--lambda", "1", "--p1", "0.4", "--a", "1.0",
-        "--n", "10", "--reps", "150", "--alpha", "0.05", "--seed", "4",
+        "power", "--lambda", "1", "--p1", "0.4", "--a-grid", "1.0",
+        "--n-grid", "10", "--reps", "150", "--alphas", "0.05", "--seed", "4",
         "--method", "jel",
     ])
     assert code == 0
@@ -211,8 +210,8 @@ def test_simulate_csv(capsys):
 
 def test_simulate_rejects_bad_p1(capsys):
     code = cli_main([
-        "simulate", "--lambda", "1", "--p1", "0.7", "--a", "1.0",
-        "--n", "10", "--reps", "150", "--seed", "4",
+        "power", "--lambda", "1", "--p1", "0.7", "--a-grid", "1.0",
+        "--n-grid", "10", "--reps", "150", "--seed", "4",
     ])
     assert code == 1
     assert "p1" in capsys.readouterr().err
@@ -266,39 +265,31 @@ def _table(args, capsys):
     return payload
 
 
-def test_simulate_is_the_one_cell_name_of_power(capsys):
-    for fmt in ([], ["--format", "json"]):
-        one = _table(["simulate", "--a", "1.5", "--n", "20", "--alpha", "0.1"] + fmt, capsys)
-        grid = _table(["power", "--a-grid", "1.5", "--n-grid", "20", "--alphas", "0.1"] + fmt, capsys)
-        assert one == grid
-    # simulate takes lists too, and both default to the 0.05 level
-    cells = _table(["simulate", "--a", "1.0,1.5", "--n", "10,20", "--method", "jel"], capsys)
-    assert [line.split(",")[1:4] for line in cells.strip().split("\n")[1:]] == [
-        ["1", "10", "0.05"], ["1", "20", "0.05"], ["1.5", "10", "0.05"], ["1.5", "20", "0.05"]]
+def test_alphas_default_to_0_05(capsys):
     assert (_table(["power", "--a-grid", "1.5", "--n-grid", "20"], capsys)
             == _table(["power", "--a-grid", "1.5", "--n-grid", "20", "--alphas", "0.05"], capsys))
-    assert cli_main(["simulate", "-h"]) == 0
-    assert capsys.readouterr().out.startswith("usage: crtest power ")
+
+
+def test_simulate_and_the_a_alias_are_usage_errors(capsys):
+    # neither names anything: --a is a prefix of both --a-grid and --alphas
+    for args, message in ((["simulate", "--a", "1.5", "--n", "20"], "invalid choice: 'simulate'"),
+                          (["power", "--a", "1.5", "--n-grid", "20"],
+                           "ambiguous option: --a could match --a-grid, --alphas")):
+        assert cli_main(args + CELL) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and message in err, err
 
 
 def test_grid_options_take_unique_prefixes(capsys):
     # an explicit --n or --alpha alias would make these prefixes ambiguous
     for args in (["power", "--a-grid", "1.5", "--n-grid", "20", "--alph", "0.05"],
                  ["power", "--a-grid", "1.5", "--n-g", "10", "--alp", "0.05"],
-                 ["simulate", "--a", "1.5", "--n", "20", "--alph", "0.05"]):
+                 ["power", "--a-g", "1.5", "--n", "20", "--alpha", "0.05"]):
         assert cli_main(args + CELL) == 0, args
         assert capsys.readouterr().out.startswith("method,a,n,alpha")
 
 
-def fresh(*args: str) -> subprocess.CompletedProcess:
-    """``python *args`` in a new interpreter that imports this checkout's
-    crtest: ``-c`` and ``-m`` put the working directory, this checkout's
-    ``src``, first on ``sys.path``."""
-    src = Path(crtest.__file__).resolve().parents[1]
-    return subprocess.run([sys.executable, *args], cwd=src, capture_output=True, text=True)
-
-
-def test_cli_import_does_not_load_scipy():
+def test_cli_import_does_not_load_scipy(fresh):
     # importing crtest.cli loads no scipy, and with scipy unimportable every
     # public entry point, true_delta included, still runs
     code = "\n".join([
@@ -312,14 +303,15 @@ def test_cli_import_does_not_load_scipy():
         "s = sample(p, 40)",
         "jel_test(s)",
         "ddk_test(s)",
-        "args = ['simulate', '--p1', '0.4', '--a', '1.5', '--n', '10', '--reps', '100', '--seed', '3']",
+        "args = ['power', '--p1', '0.4', '--a-grid', '1.5', '--n-grid', '10', '--reps', '100',",
+        "        '--seed', '3']",
         "assert crtest.cli.cli_main(args) == 0",
     ])
     proc = fresh("-c", code)
     assert proc.returncode == 0, proc.stderr
 
 
-def test_cli_import_does_not_load_process_pool():
+def test_cli_import_does_not_load_process_pool(fresh):
     for module in ("crtest", "crtest.cli"):
         code = (f"import {module}, sys; "
                 "loaded = [m for m in sys.modules if m.startswith('concurrent.futures')]; "
@@ -345,7 +337,7 @@ def test_cli_import_does_not_load_process_pool():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_cli_test_loads_no_harness():
+def test_cli_test_loads_no_harness(fresh):
     # `crtest test` loads only the statistic path: the jel test leaves the
     # harness and the ddk test unloaded, the ddk test loads only its module.
     # Neither loads dataclasses, whose code generation costs start-up time,
@@ -368,7 +360,7 @@ def test_cli_test_loads_no_harness():
         assert proc.stderr == f"{sorted(wanted)!r}\n", method
 
 
-def test_module_entry_point_runs_the_cli():
+def test_module_entry_point_runs_the_cli(fresh):
     for module in ("crtest", "crtest.cli"):
         proc = fresh("-m", module, "--version")
         assert (proc.returncode, proc.stdout) == (0, f"crtest {crtest.__version__}\n"), (module, proc.stderr)

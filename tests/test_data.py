@@ -3,7 +3,9 @@ import pickle
 import numpy as np
 import pytest
 
-from crtest import FamilyParams, IngestSpec, Sample, SimCell, SimConfig, SimTable
+from crtest import (
+    FamilyParams, IngestSpec, Sample, SimCell, SimConfig, SimTable, jackknife, jel_test,
+)
 from crtest.data import Record
 
 from oracles import sample_of
@@ -118,6 +120,18 @@ def test_record_equality_and_hash_go_by_class_and_fields():
     # fields compare as a tuple would: the one NaN object equals itself
     nan_cell = {**CELL, "rate": float("nan")}
     assert SimCell(**nan_cell) == SimCell(**nan_cell)
+
+
+def test_records_holding_arrays_compare_by_value():
+    # the arrays are the pseudo-values and the EL weights; == on two arrays
+    # is elementwise, which has no single truth value
+    s = sample_of((1, 1), (2, 2), (3, 1), (4, 2), (5, 1))
+    t = sample_of((1, 2), (2, 1), (3, 1), (4, 2), (5, 1))
+    assert jackknife(s) == jackknife(s) and jel_test(s) == jel_test(s)
+    assert jackknife(s) != jackknife(t) and jel_test(s) != jel_test(t)
+    assert jel_test(s).el is not None
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(jackknife(s))
 
 
 def test_record_is_frozen():

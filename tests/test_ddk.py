@@ -11,7 +11,6 @@ from crtest import (
     SampleTooSmall,
     SimConfig,
     ddk_test,
-    ddk_z,
     run,
 )
 from crtest.ddk import zstat
@@ -21,10 +20,9 @@ from oracles import PAIR_EXAMPLE_Z, sample_of
 
 
 def test_pair_example_z_value():
-    s = sample_of((1, 2), (2, 1))
-    z, p1_hat, dh = ddk_z(s)
-    assert dh == 0.5 and p1_hat == 0.5
-    assert z == pytest.approx(PAIR_EXAMPLE_Z, abs=1e-12)
+    res = ddk_test(sample_of((1, 2), (2, 1)))
+    assert res.delta_hat == 0.5 and res.p1_hat == 0.5
+    assert res.z == pytest.approx(PAIR_EXAMPLE_Z, abs=1e-12)
 
 
 def test_zstat_rejects_degenerate_fraction():
@@ -51,12 +49,12 @@ def test_zstat_accepts_arrays():
 def test_ddk_z_single_cause_sample():
     s = sample_of((1, 1), (2, 1), (3, 1))
     with pytest.raises(DegenerateSample):
-        ddk_z(s)
+        ddk_test(s)
 
 
 def test_ddk_z_needs_two_observations():
     with pytest.raises(SampleTooSmall):
-        ddk_z(sample_of((1, 1)))
+        ddk_test(sample_of((1, 1)))
 
 
 def test_two_sided_default_p_value():
@@ -77,10 +75,9 @@ def test_one_sided_p_value_and_decision():
 def test_zero_delta_sample_sits_at_the_null_center():
     # the (1,2)/(2,1) pair contributions cancel pairwise
     s = sample_of((1, 1), (2, 2), (3, 2), (4, 1))
-    z, p1_hat, dh = ddk_z(s)
-    assert dh == 0.0 and z == 0.0 and p1_hat == 0.5
     two = ddk_test(s)
     one = ddk_test(s, two_sided=False)
+    assert two.delta_hat == 0.0 and two.z == 0.0 and two.p1_hat == 0.5
     assert two.p_value == 1.0 and not two.reject
     assert one.p_value == 0.5 and not one.reject
 
@@ -141,7 +138,7 @@ def test_null_size_is_calibrated():
 def test_z_grows_with_sample_size_under_dependence():
     # doubling a strongly dependent sample roughly scales z by sqrt(2)
     base = [(t, 2) for t in range(1, 11)] + [(t + 10, 1) for t in range(1, 11)]
-    z1, _, _ = ddk_z(sample_of(*base))
+    z1 = ddk_test(sample_of(*base)).z
     doubled = base + [(t + 0.5, c) for t, c in base]
-    z2, _, _ = ddk_z(sample_of(*doubled))
+    z2 = ddk_test(sample_of(*doubled)).z
     assert z2 > z1

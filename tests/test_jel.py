@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from crtest import (
-    HullViolation,
     NoConvergence,
     Sample,
     SampleTooSmall,
@@ -14,7 +13,6 @@ from crtest import (
     jackknife,
     jel_statistic,
     jel_test,
-    solve_lambda,
 )
 
 import crtest.jel
@@ -40,7 +38,7 @@ def random_pseudo(rng, n):
 
 
 def test_closed_form_solution():
-    el = solve_lambda(np.array([-1.0, 1.0, 1.0]), 0.0)
+    el = jel_statistic(np.array([-1.0, 1.0, 1.0]))[3]
     assert el.lam == pytest.approx(CLOSED_FORM_LAMBDA, abs=1e-10)
     assert -2.0 * el.log_ratio == pytest.approx(CLOSED_FORM_STAT, abs=1e-12)
     np.testing.assert_allclose(el.weights, CLOSED_FORM_WEIGHTS, atol=1e-10)
@@ -48,14 +46,14 @@ def test_closed_form_solution():
 
 
 def test_symmetric_pseudo_values_solve_at_zero():
-    el = solve_lambda(np.array([-1.0, 0.0, 1.0]), 0.0)
+    el = jel_statistic(np.array([-1.0, 0.0, 1.0]))[3]
     assert el.lam == 0.0
     assert el.log_ratio == 0.0
     assert el.iterations == 0
 
 
 def test_closed_form_tail_probability():
-    el = solve_lambda(np.array([-1.0, 1.0, 1.0]), 0.0)
+    el = jel_statistic(np.array([-1.0, 1.0, 1.0]))[3]
     p = chisq1_sf(-2.0 * el.log_ratio)
     assert p == pytest.approx(0.5601, abs=5e-4)
 
@@ -63,15 +61,15 @@ def test_closed_form_tail_probability():
 def test_lambda_scales_inversely_with_deviation_scale():
     rng = np.random.default_rng(53)
     v = random_pseudo(rng, 20)
-    base = solve_lambda(v, 0.0)
+    base = jel_statistic(v)[3]
     for c in (0.5, 2.0, 10.0):
-        scaled = solve_lambda(c * v, 0.0)
+        scaled = jel_statistic(c * v)[3]
         assert scaled.lam == pytest.approx(base.lam / c, rel=1e-7, abs=1e-12)
         assert scaled.log_ratio == pytest.approx(base.log_ratio, rel=1e-7, abs=1e-12)
 
 
 def test_trivial_all_equal_case():
-    el = solve_lambda(np.array([0.7, 0.7, 0.7, 0.7]), 0.7)
+    el = jel_statistic(np.array([0.7, 0.7, 0.7, 0.7]), 0.7)[3]
     assert el.lam == 0.0
     assert el.log_ratio == 0.0
     assert el.iterations == 0
@@ -80,17 +78,15 @@ def test_trivial_all_equal_case():
 
 def test_solver_needs_two_values():
     with pytest.raises(SampleTooSmall):
-        solve_lambda(np.array([0.5]), 0.0)
+        jel_statistic(np.array([0.5]))
 
 
-def test_hull_violation_raised_outside_and_on_boundary():
+def test_hull_violation_outside_and_on_boundary_gives_inf():
     v = np.array([-1.0, 0.5, 2.0])
     for delta0 in (-1.0, 2.0, -1.5, 3.0):
-        with pytest.raises(HullViolation):
-            solve_lambda(v, delta0)
+        assert jel_statistic(v, delta0) == (math.inf, False, False, None)
     # all values on one side of the hypothesis
-    with pytest.raises(HullViolation):
-        solve_lambda(np.array([0.1, 0.2, 0.3]), 0.0)
+    assert jel_statistic(np.array([0.1, 0.2, 0.3])) == (math.inf, False, False, None)
 
 
 def test_weights_are_a_probability_vector():
@@ -98,7 +94,7 @@ def test_weights_are_a_probability_vector():
     for _ in range(50):
         n = int(rng.integers(3, 60))
         v = random_pseudo(rng, n)
-        el = solve_lambda(v, 0.0)
+        el = jel_statistic(v)[3]
         assert el.weights.sum() == pytest.approx(1.0, abs=1e-9)
         assert np.all(el.weights > 0.0) and np.all(el.weights < 1.0)
         # the solved weights satisfy the mean constraint
@@ -111,7 +107,7 @@ def test_weights_are_a_probability_vector():
 def test_solution_at_sample_mean_is_uniform():
     rng = np.random.default_rng(31)
     v = random_pseudo(rng, 25)
-    el = solve_lambda(v, float(v.mean()))
+    el = jel_statistic(v, float(v.mean()))[3]
     assert el.lam == pytest.approx(0.0, abs=1e-9)
     assert -2.0 * el.log_ratio == pytest.approx(0.0, abs=1e-10)
 
@@ -123,10 +119,10 @@ def test_statistic_grows_away_from_the_mean():
     lo_span = mean - float(v.min())
     hi_span = float(v.max()) - mean
     deltas = [mean + f * hi_span for f in (0.2, 0.5, 0.8)]
-    stats_up = [-2.0 * solve_lambda(v, d).log_ratio for d in deltas]
+    stats_up = [jel_statistic(v, d)[0] for d in deltas]
     assert stats_up[0] < stats_up[1] < stats_up[2]
     deltas = [mean - f * lo_span for f in (0.2, 0.5, 0.8)]
-    stats_down = [-2.0 * solve_lambda(v, d).log_ratio for d in deltas]
+    stats_down = [jel_statistic(v, d)[0] for d in deltas]
     assert stats_down[0] < stats_down[1] < stats_down[2]
 
 
@@ -211,10 +207,10 @@ def test_non_finite_pseudo_values_raise():
         with pytest.raises(ValueError, match="pseudo-values must be finite"):
             jel_statistic(v)
         with pytest.raises(ValueError, match="pseudo-values must be finite"):
-            solve_lambda(v, 0.5)
+            jel_statistic(v, 0.5)
     for delta0 in (math.nan, math.inf, -math.inf, np.float64(math.nan), np.array(math.inf)):
         with pytest.raises(ValueError, match="delta0 must be finite"):
-            solve_lambda([-1.0, 0.5, 2.0], delta0)
+            jel_statistic([-1.0, 0.5, 2.0], delta0)
 
 
 def test_statistic_invariant_under_cause_relabeling():
@@ -236,7 +232,7 @@ def test_solver_handles_extreme_but_interior_hypothesis():
     edge = float(v.max())
     mean = float(v.mean())
     delta0 = mean + 0.999 * (edge - mean)
-    el = solve_lambda(v, delta0)
+    el = jel_statistic(v, delta0)[3]
     assert el.residual <= 1e-10
     assert -2.0 * el.log_ratio > 10.0
 
@@ -282,7 +278,7 @@ def test_batched_solver_on_generic_pseudo_values():
     for i in range(200):
         lam, iters, _, ref_stat = scalar_solve_lambda(v[i])
         assert iters == iterations[i] and ref_stat == stat[i]
-        assert solve_lambda(v[i], 0.0).lam == lam
+        assert jel_statistic(v[i])[3].lam == lam
 
 
 def test_iteration_cap_raises_no_convergence(monkeypatch):
@@ -290,7 +286,7 @@ def test_iteration_cap_raises_no_convergence(monkeypatch):
     v = np.array([-1.0, 0.5, 2.0])
     assert scalar_solve_lambda(v, max_iter=1) is None
     with pytest.raises(NoConvergence):
-        solve_lambda(v, 0.0)
+        jel_statistic(v)
     with pytest.raises(NoConvergence):
         jel_statistics(np.array([[-1.0, 1.0, 1.0], [-1.0, 0.5, 2.0]]))
 

@@ -4,12 +4,9 @@ import math
 import multiprocessing
 import os
 import signal
-import subprocess
-import sys
 import time
 import tracemalloc
 from concurrent.futures.process import BrokenProcessPool
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +20,7 @@ from crtest import (
     NoConvergence,
     SimConfig,
     chisq1_quantile,
-    ddk_z,
+    ddk_test,
     jackknife,
     normal_quantile,
     rng_from_seed,
@@ -148,6 +145,19 @@ def test_workers_do_not_change_results(monkeypatch):
     parallel = run(cfg, workers=2)
     assert serial.cells == parallel.cells
     assert parallel.metadata["workers"] == 2
+
+
+@pytest.mark.parametrize("lam", [0.37, 3.0, 1000.0])
+def test_lambda_changes_the_metadata_and_no_cell(lam):
+    # the sampler divides every time by lam, which keeps their order, and
+    # both statistics read only the order of the times
+    def table(lam):
+        params = FamilyParams(lam=lam, p1=0.1, a=1.0, seed=5)
+        return run(small_config(params=params, n_grid=(20, 50, 200), a_grid=(1.0, 2.0),
+                                alpha_grid=(0.01, 0.05), reps=500), workers=1)
+    scaled = table(lam)
+    assert scaled.cells == table(1.0).cells
+    assert scaled.metadata["lambda"] == lam
 
 
 def test_rates_monotone_in_alpha():
@@ -362,7 +372,7 @@ def replay(cfg, a_idx, n_idx):
             for k, thr in enumerate(jel_thr):
                 jel_rej[k] += stat > thr
         try:
-            z = ddk_z(s)[0]
+            z = ddk_test(s).z
             z = abs(z) if two_sided else z
         except DegenerateSample:
             ddk_exc += 1
@@ -419,7 +429,7 @@ def test_hull_violations_equal_replayed_infinite_statistics():
 def test_no_convergence_surfaces_from_harness(monkeypatch):
     monkeypatch.setattr(crtest.jel, "_MAX_ITER", 1)
     with pytest.raises(NoConvergence):
-        crtest.jel.solve_lambda([-1.0, 0.5, 2.0], 0.0)
+        crtest.jel.jel_statistic([-1.0, 0.5, 2.0])
     # the run fails as a whole: no table, so no unconverged statistic is
     # counted as a rejection
     with pytest.raises(NoConvergence):
@@ -578,7 +588,7 @@ def test_lopsided_grid_gives_the_serial_cells_at_every_worker_count(monkeypatch)
 
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                     reason="workers inherit the parent's imports only when forked")
-def test_pool_workers_start_with_numpy_random_loaded():
+def test_pool_workers_start_with_numpy_random_loaded(fresh):
     code = "\n".join([
         "import os, sys",
         "os.sched_getaffinity = lambda pid: {0, 1}",
@@ -597,7 +607,7 @@ def test_pool_workers_start_with_numpy_random_loaded():
         "                alpha_grid=(0.05,), a_grid=(1.0,), reps=100)",
         "assert run(cfg, workers=2).metadata['workers'] == 2",
     ])
-    proc = run_script(code)
+    proc = fresh("-c", code)
     assert proc.returncode == 0, proc.stderr
 
 
@@ -651,17 +661,6 @@ def test_no_convergence_on_the_pool_fails_one_run_and_drops_the_pool(monkeypatch
     assert run(cfg, workers=2).cells == run(cfg, workers=1).cells
 
 
-def run_script(code):
-    """Run ``code`` in a fresh interpreter, outside the suite's warning filters:
-    a fork next to the live pool's two threads, or next to other threads, is
-    one of a multi-threaded process, which Python 3.12+ reports with a
-    DeprecationWarning.  ``-c`` puts the working directory, this checkout's
-    ``src``, first on ``sys.path``."""
-    src = Path(crtest.__file__).resolve().parents[1]
-    return subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True,
-                          text=True, timeout=300)
-
-
 # Runs asking for 2 and 3 workers replace each other's pool; one that shut a
 # pool down under another thread's run would fail that run.
 THREADS_SCRIPT = """
@@ -689,8 +688,8 @@ print(sum(thread.is_alive() for thread in threads), results.count(True), len(res
 
 
 @needs_fork
-def test_threads_take_turns_on_the_pool():
-    proc = run_script(THREADS_SCRIPT)
+def test_threads_take_turns_on_the_pool(fresh):
+    proc = fresh("-c", THREADS_SCRIPT)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["0", "12", "12"], proc.stderr
 
@@ -732,8 +731,8 @@ assert mc._POOL is pool and run(cfg, workers=2).cells == cells
 
 
 @needs_fork
-def test_forked_child_starts_its_own_pool():
-    proc = run_script(FORK_SCRIPT)
+def test_forked_child_starts_its_own_pool(fresh):
+    proc = fresh("-c", FORK_SCRIPT)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["same=1", "own=1", "status=0"], proc.stderr
 
@@ -782,8 +781,8 @@ print("same=%d" % (run(cfg, workers=2).cells == serial))
 
 
 @needs_fork
-def test_interrupted_run_stops_its_workers():
-    proc = run_script(INTERRUPT_SCRIPT)
+def test_interrupted_run_stops_its_workers(fresh):
+    proc = fresh("-c", INTERRUPT_SCRIPT)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["interrupted=1", "workers=2", "gone=2", "same=1"], proc.stderr
 
@@ -807,7 +806,7 @@ def test_killed_worker_fails_one_run_and_the_next_forks_a_new_pool(monkeypatch):
     assert live_pool()[0] is not pool
 
 
-def test_interpreter_with_a_live_pool_exits_cleanly():
+def test_interpreter_with_a_live_pool_exits_cleanly(fresh):
     # the second script keeps crtest.mc alive into interpreter teardown, as
     # a test runner's references can: a pool collected only then ran a
     # concurrent.futures callback into an already cleared module
@@ -821,5 +820,5 @@ def test_interpreter_with_a_live_pool_exits_cleanly():
             "                alpha_grid=(0.05,), a_grid=(1.0,), reps=100)",
             "assert run(cfg, workers=2).metadata['workers'] == 2",
         ])
-        proc = run_script(code)
+        proc = fresh("-c", code)
         assert (proc.returncode, proc.stderr) == (0, ""), keep
