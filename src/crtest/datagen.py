@@ -20,6 +20,7 @@ J = 1 with conditional probability f1(T)/f(T) = p1 * a * F(T)**(a - 1).
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -29,6 +30,8 @@ from .data import Record, Sample
 
 GENERATOR = "numpy-pcg64"
 SEED_SCHEME = "SeedSequence(entropy=seed, spawn_key=(a_index, n_index, replication))"
+# the longest time at lam = 1: -log1p(-u) at the largest uniform, 1 - 2**-53
+_LONGEST = 53.0 * math.log(2.0)
 
 
 class FamilyParams(Record):
@@ -40,8 +43,15 @@ class FamilyParams(Record):
     seed: int = 0
 
     def __post_init__(self) -> None:
+        lam = real(self.lam, "lam", 0.0, math.inf, "()")
+        # a time is -log1p(-u) / lam for a uniform u in {0} or [2**-53, 1 - 2**-53],
+        # so from 2**-53 / lam to 53 ln 2 / lam: both must be normal floats,
+        # or times overflow to inf or lose their order as subnormals
+        if not (math.isfinite(_LONGEST / lam) and 2.0**-53 / lam >= sys.float_info.min):
+            raise ValueError(f"lam must lie in about [2.04e-307, 4.99e291], where every time "
+                             f"is a finite normal float, got {self.lam!r}")
         # plain Python numbers keep records JSON-ready
-        for name, value in (("lam", real(self.lam, "lam", 0.0, math.inf, "()")),
+        for name, value in (("lam", lam),
                             ("p1", real(self.p1, "p1", 0.0, 0.5)),
                             ("a", real(self.a, "a", 1.0, 2.0)),
                             ("seed", integer(self.seed, "seed"))):
@@ -125,20 +135,6 @@ def uniform_rows(seed: int, key: tuple[int, ...], rep_lo: int, rep_hi: int, widt
     for row, w in zip(out, words):
         Generator(PCG64(_Words(w))).random(out=row)
     return out
-
-
-def baseline_cdf(params: FamilyParams, t):
-    return -np.expm1(-params.lam * np.asarray(t, dtype=np.float64))
-
-
-def sub_distribution_cause1(params: FamilyParams, t):
-    """F1(t) = p1 * F(t)**a."""
-    return params.p1 * baseline_cdf(params, t) ** params.a
-
-
-def cause1_probability(params: FamilyParams, t):
-    """P(J = 1 | T = t) = p1 * a * F(t)**(a - 1); in [0, 1] because p1*a <= 1."""
-    return params.p1 * params.a * baseline_cdf(params, t) ** (params.a - 1.0)
 
 
 def draw(params: FamilyParams, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -129,14 +129,24 @@ def jackknife_rows(times: np.ndarray, causes: np.ndarray) -> tuple[np.ndarray, n
     Dropping observation i removes exactly its row score from the pair
     total, so the n leave-one-out estimates come from one pass of rank
     counts (``row_scores``) instead of n re-evaluations.  Needs n >= 3.
+
+    Pseudo-value i is exactly (2(n - 1)*row_i - sum(row)) / ((n - 1)(n - 2)),
+    so where that numerator is 0 it is +0.0, not the rounding residue
+    (about 1e-16) of the float formula: a row whose other pseudo-values all
+    have one sign is then a hull violation, as it is exactly.  Row scores
+    are multiples of 1/2, so the test of the numerator is exact for n below
+    about 9e7; every other pseudo-value keeps the float formula's bits.
     """
     n = times.shape[-1]
     row = row_scores(times, causes)
     # every row score is a multiple of 1/2, so these sums are exact
-    total = row.sum(axis=-1, keepdims=True) / 2.0
+    sums = row.sum(axis=-1, keepdims=True)
+    total = sums / 2.0
     d_full = 2.0 * total / (n * (n - 1))
     loo = 2.0 * (total - row) / ((n - 1) * (n - 2))
-    return d_full[..., 0], n * d_full - (n - 1) * loo
+    pseudo = n * d_full - (n - 1) * loo
+    pseudo[2.0 * (n - 1) * row == sums] = 0.0
+    return d_full[..., 0], pseudo
 
 
 def jackknife(sample: Sample) -> JackknifeSet:

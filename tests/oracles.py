@@ -47,6 +47,15 @@ def closed_form_delta(p1: float, a: float) -> float:
     return p1 * (a - 1.0) / (a + 1.0)
 
 
+def family_f1(lam: float, p1: float, a: float, t: float) -> float:
+    """Cause-1 sub-distribution of the sampler family at time t.
+
+    The family (Dewan & Kulathinal 2007) puts F1(t) = p1 * F(t)**a over the
+    exponential baseline F(t) = 1 - exp(-lam * t).
+    """
+    return p1 * (1.0 - math.exp(-lam * t)) ** a
+
+
 # --- the paper's pair kernel and a sample builder ---------------------------
 #
 # An observation is a (time, cause) pair.  ``kernel_sym`` is the paper's
@@ -137,6 +146,29 @@ def naive_jackknife(times, causes):
         c_wo = [causes[k] for k in range(n) if k != i]
         pseudo.append(n * full - (n - 1) * naive_delta_hat(t_wo, c_wo))
     return full, np.array(pseudo)
+
+
+def exact_row_class(times, causes) -> str:
+    """The ``jel`` class of one sample, from the exact signs of its pseudo-values.
+
+    With k_i the integer sum of both orders' unsymmetrised pair scores of
+    subject i over its partners (twice its row score) and K = sum(k),
+    pseudo-value i is (2(n - 1) * k_i - K) / (2(n - 1)(n - 2)), so its sign
+    is an integer's.  All zero is 'degenerate'; 0 strictly between the
+    smallest and the largest is 'solvable'; anything else is a 'hull'
+    violation.
+    """
+    t = np.asarray(times, dtype=np.float64)
+    c = np.asarray(causes)
+    later = t[:, None] > t[None, :]
+    raw = (later & (c[:, None] == 1) & (c[None, :] == 2)).astype(np.int64)
+    raw -= later & (c[:, None] == 2) & (c[None, :] == 1)
+    k = [int(x) for x in raw.sum(axis=1) + raw.sum(axis=0)]
+    n, total = len(k), sum(k)
+    signs = {(w > 0) - (w < 0) for w in (2 * (n - 1) * ki - total for ki in k)}
+    if signs == {0}:
+        return "degenerate"
+    return "solvable" if {-1, 1} <= signs else "hull"
 
 
 def random_tc(rng, n: int, with_ties: bool = False):

@@ -29,12 +29,11 @@ from crtest import (
     run,
     sample,
 )
-from crtest.datagen import sub_distribution_cause1
 from crtest.ddk import _rejects, zstat
 from crtest.jel import jel_statistics
 from crtest.ustat import jackknife_rows
 
-from oracles import CLOSED_FORM_LAMBDA, naive_jackknife
+from oracles import CLOSED_FORM_LAMBDA, family_f1, naive_jackknife
 
 RESULTS: list[str] = []
 
@@ -305,7 +304,7 @@ def test_sampler_matches_target_sub_distribution():
         ts = -np.log1p(-qs) / lam
         for t in ts:
             empirical = float(np.mean((s.times <= t) & is1))
-            target = float(sub_distribution_cause1(params, t))
+            target = family_f1(lam, p1, a, float(t))
             worst = max(worst, abs(empirical - target))
     _record(
         "sampler cause-1 sub-distribution matches its target curve",

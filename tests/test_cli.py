@@ -217,6 +217,17 @@ def test_simulate_rejects_bad_p1(capsys):
     assert "p1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("lam", ["1e-310", "5e291"])
+def test_power_rejects_a_rate_that_takes_times_out_of_normal_floats(lam, capsys):
+    code = cli_main([
+        "power", "--lambda", lam, "--p1", "0.3", "--a-grid", "1.0",
+        "--n-grid", "20", "--reps", "200", "--seed", "1",
+    ])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err.startswith("error: lam must lie in")
+
+
 def test_power_json_grid(capsys):
     code = cli_main([
         "power", "--lambda", "1", "--p1", "0.5",

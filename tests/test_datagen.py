@@ -1,18 +1,12 @@
 import hashlib
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from crtest import FamilyParams, rng_from_seed, sample, true_delta
-from crtest.datagen import (
-    _Words,
-    baseline_cdf,
-    cause1_probability,
-    draw,
-    sub_distribution_cause1,
-    uniform_rows,
-)
+from crtest.datagen import _Words, draw, uniform_rows
 
 from oracles import closed_form_delta
 
@@ -143,21 +137,59 @@ def test_mean_time_matches_rate():
     assert float(s.times.mean()) == pytest.approx(0.25, rel=0.03)
 
 
+def cause_rule(params, ut):
+    """The family's cause-1 probability given F(T) = ut, p1*a*ut**(a - 1),
+    and ``draw``'s causes with the cause uniform one ulp below it and one
+    ulp above it."""
+    p = params.p1 * params.a * ut ** (params.a - 1.0)
+    below = draw(params, np.concatenate((ut, np.nextafter(p, 0.0)))[None, :])[1][0]
+    above = draw(params, np.concatenate((ut, np.nextafter(p, 1.0)))[None, :])[1][0]
+    return p, below, above
+
+
 def test_cause1_probability_constant_iff_independent():
-    t = np.linspace(0.01, 5.0, 50)
-    indep = FamilyParams(lam=1.0, p1=0.3, a=1.0)
-    np.testing.assert_allclose(cause1_probability(indep, t), 0.3, atol=1e-15)
+    ut = np.linspace(0.01, 0.99, 50)
+    p, below, above = cause_rule(FamilyParams(lam=1.0, p1=0.3, a=1.0), ut)
+    assert np.all(p == 0.3)
+    assert np.all(below == 1) and np.all(above == 2)
     dep = FamilyParams(lam=1.0, p1=0.3, a=1.8)
-    vals = cause1_probability(dep, t)
-    assert np.all(np.diff(vals) > 0)  # increasing toward p1*a
-    assert np.all(vals >= 0) and np.all(vals <= dep.p1 * dep.a + 1e-15)
+    p, below, above = cause_rule(dep, ut)
+    assert np.all(np.diff(p) > 0)  # increasing toward p1*a
+    assert np.all(p >= 0) and np.all(p <= dep.p1 * dep.a)
+    assert np.all(below == 1) and np.all(above == 2)
 
 
 def test_sub_distribution_limits():
+    # F1(t) = p1*F(t)**a rises from 0 at t = 0 to p1 as F(t) tends to 1
     p = FamilyParams(lam=1.0, p1=0.4, a=1.5)
-    assert sub_distribution_cause1(p, 0.0) == 0.0
-    assert float(sub_distribution_cause1(p, 1e6)) == pytest.approx(0.4, abs=1e-12)
-    assert float(baseline_cdf(p, 1e6)) == pytest.approx(1.0, abs=1e-12)
+    times, causes = draw(p, np.zeros((1, 2)))
+    assert times[0, 0] == 0.0 and causes[0, 0] == 2  # cause 1 has probability 0 at t = 0
+    # over F's uniform law the cause-1 probability averages to F1's limit p1
+    ut = (np.arange(100_000) + 0.5) / 100_000
+    prob, below, above = cause_rule(p, ut)
+    assert np.all(below == 1) and np.all(above == 2)
+    assert float(prob.mean()) == pytest.approx(0.4, abs=1e-6)
+    # the largest uniform numpy draws gives the longest time, where F is 1 - 2**-53
+    times, _ = draw(p, np.array([[1.0 - 2.0**-53, 0.5]]))
+    assert times[0, 0] == pytest.approx(53.0 * math.log(2.0) / p.lam, rel=1e-15)
+    assert -math.expm1(-p.lam * times[0, 0]) == pytest.approx(1.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("lam", [1e-310, 2.03e-307, 5e291, 1e300, sys.float_info.max])
+def test_params_refuse_a_rate_that_takes_times_out_of_normal_floats(lam):
+    # below about 2.04e-307 the longest time overflows to inf; above about
+    # 4.99e291 the shortest nonzero time is subnormal
+    with pytest.raises(ValueError, match="lam must lie in"):
+        FamilyParams(lam=lam, p1=0.3, a=1.5)
+
+
+@pytest.mark.parametrize("lam", [2.05e-307, 4.98e291])
+def test_extreme_accepted_rates_give_finite_normal_times(lam):
+    u = np.array([[0.0, 2.0**-53, 0.5, 1.0 - 2.0**-53] * 2])
+    times, _ = draw(FamilyParams(lam=lam, p1=0.3, a=1.5), u)
+    assert times[0, 0] == 0.0
+    assert np.all(np.isfinite(times)) and np.all(times[0, 1:] >= sys.float_info.min)
+    assert np.all(np.diff(times[0]) > 0)
 
 
 def test_true_delta_matches_closed_form_grid():

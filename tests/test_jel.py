@@ -23,6 +23,7 @@ from oracles import (
     CLOSED_FORM_LAMBDA,
     CLOSED_FORM_STAT,
     CLOSED_FORM_WEIGHTS,
+    exact_row_class,
     random_tc,
     sample_of,
     scalar_solve_lambda,
@@ -170,6 +171,60 @@ def test_jel_test_hull_violation_result_fields():
     assert res.reject and not res.hull_ok
     assert res.el is None
     assert res.to_dict()["statistic"] == "inf"
+
+
+def lone_subject_stacks(n):
+    """Times 0..n-1 with n - 1 subjects of one cause and one of the other
+    failing last or first, as a (4, n) stack of each cause's two cases."""
+    causes = np.ones((4, n), dtype=np.int64)
+    causes[0, -1] = causes[1, 0] = 2
+    causes[2:] = 3 - causes[:2]
+    return np.broadcast_to(np.arange(float(n)), (4, n)), causes
+
+
+@pytest.mark.parametrize("n", [49, 98, 103])
+def test_zero_on_the_hull_edge_is_a_hull_violation(n):
+    # the exact pseudo-values are (0, ..., 0, -c) or (c, 0, ..., 0), so 0 is
+    # on the hull's edge; these are the first n at which the float formula
+    # leaves a residue of about 1e-16 where a pseudo-value is exactly 0
+    for times, causes in zip(*lone_subject_stacks(n)):
+        res = jel_test(Sample.from_arrays(times, causes))
+        assert (res.statistic, res.p_value, res.hull_ok, res.el) == (math.inf, 0.0, False, None)
+        assert res.reject and not res.degenerate
+
+
+def test_zero_on_the_hull_edge_is_a_hull_violation_at_every_n():
+    for n in range(3, 401):
+        times, causes = lone_subject_stacks(n)
+        stat, degenerate = jel_statistics(jackknife_rows(times, causes)[1])[:2]
+        assert np.all(stat == math.inf) and not degenerate.any(), n
+        assert {exact_row_class(t, c) for t, c in zip(times, causes)} == {"hull"}, n
+        for t, c in zip(times, causes):
+            res = jel_test(Sample.from_arrays(t, c))
+            assert (res.statistic, res.p_value, res.hull_ok) == (math.inf, 0.0, False), n
+
+
+def test_row_classes_equal_the_exact_integer_classes():
+    # tied stacks at n <= 60, many with one to three subjects of one cause,
+    # where 0 can lie on the hull's edge
+    rng = np.random.default_rng(67)
+    seen = set()
+    for n in range(3, 61):
+        r = 40
+        levels = rng.integers(2, n + 1, size=(r, 1))
+        times = np.floor(rng.random((r, n)) * levels)
+        times[:8] = np.arange(n)
+        causes = rng.integers(1, 3, size=(r, n))
+        lone = np.ones((r // 2, n), dtype=np.int64)
+        for row, m in zip(lone, rng.integers(0, 4, size=r // 2)):
+            row[rng.choice(n, size=min(m, n), replace=False)] = 2
+        causes[::2] = np.where(rng.random((r // 2, 1)) < 0.5, lone, 3 - lone)
+        stat, degenerate = jel_statistics(jackknife_rows(times, causes)[1])[:2]
+        got = np.where(degenerate, "degenerate", np.where(np.isinf(stat), "hull", "solvable"))
+        exact = [exact_row_class(t, c) for t, c in zip(times, causes)]
+        assert got.tolist() == exact, n
+        seen.update(exact)
+    assert seen == {"degenerate", "hull", "solvable"}
 
 
 def test_jel_test_degenerate_accepts():

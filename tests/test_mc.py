@@ -160,6 +160,15 @@ def test_lambda_changes_the_metadata_and_no_cell(lam):
     assert scaled.metadata["lambda"] == lam
 
 
+def test_hull_violations_count_zeros_on_the_hull_edge():
+    # 21 of the 22 hull violations have exactly zero pseudo-values with 0
+    # on the hull's edge; every hull violation is also a rejection
+    cfg = small_config(params=FamilyParams(lam=1.0, p1=0.1, a=1.0, seed=5), n_grid=(49,),
+                       reps=20_000)
+    cell = run(cfg, workers=1).get("jel", 1.0, 49, 0.05)
+    assert (cell.hull_violations, cell.rejections, cell.excluded) == (22, 2483, 105)
+
+
 def test_rates_monotone_in_alpha():
     cfg = small_config(alpha_grid=(0.01, 0.05, 0.2), reps=400, n_grid=(20,), a_grid=(1.6,))
     table = run(cfg, workers=1)

@@ -1,3 +1,7 @@
+import ast
+import re
+from pathlib import Path
+
 import crtest
 
 
@@ -65,3 +69,39 @@ def test_lazy_names_behave_like_eager_ones(fresh):
         "assert not hasattr(crtest, 'no_such_name')",
     ]))
     assert proc.returncode == 0, proc.stderr
+
+
+def test_every_module_level_definition_is_public_or_used():
+    # a function or class that only tests call is oracle code: it belongs
+    # in tests/oracles.py, not in the package
+    src = Path(crtest.__file__).parent
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
+    # console entry points name their function as "crtest.<module>:<name>"
+    pyproject = (src.parents[1] / "pyproject.toml").read_text()
+    entry_points = set(re.findall(r'"crtest\.\w+:(\w+)"', pyproject))
+
+    def names(nodes) -> set[str]:
+        found = set()
+        for node in nodes:
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name):
+                    found.add(sub.id)
+                elif isinstance(sub, ast.Attribute):
+                    found.add(sub.attr)
+                elif isinstance(sub, ast.alias):
+                    found.add(sub.name)
+        return found
+
+    unused = []
+    for module, tree in trees.items():
+        elsewhere = names(t for other, t in trees.items() if other != module)
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            name = node.name
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            used = elsewhere | names(other for other in tree.body if other is not node)
+            if name not in crtest._LAZY and name not in used | entry_points:
+                unused.append(f"{module}:{name}")
+    assert not unused, unused
