@@ -109,10 +109,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _methods(choice: str) -> tuple[str, ...]:
-    return ("jel", "ddk") if choice == "both" else (choice,)
-
-
 def _cmd_test(args: argparse.Namespace) -> str:
     if args.one_sided and args.method != "ddk":
         args.parser.error("--one-sided applies to --method ddk only")
@@ -180,7 +176,7 @@ def _cmd_power(args: argparse.Namespace) -> str:
         alpha_grid=args.alphas,
         a_grid=args.a_grid,
         reps=args.reps,
-        methods=_methods(args.method),
+        methods=("jel", "ddk") if args.method == "both" else (args.method,),
         ddk_two_sided=not args.ddk_one_sided,
     )
     table = run(config, workers=args.workers)

@@ -357,14 +357,15 @@ def run(config: SimConfig, workers: int = 0) -> SimTable:
     return SimTable(cells=cells, metadata=metadata)
 
 
+_CSV_COLUMNS = ("method", "a", "n", "alpha", "rate", "stderr", "excluded", "rejections", "used",
+                "hull_violations", "newton_iters_max")
+
+
 def to_csv(table: SimTable) -> str:
-    lines = ["method,a,n,alpha,rate,stderr,excluded,rejections,used,hull_violations,newton_iters_max"]
+    lines = [",".join(_CSV_COLUMNS)]
     for c in table.rows():
-        lines.append(
-            f"{c.method},{c.a:.10g},{c.n},{c.alpha:.10g},"
-            f"{c.rate:.10g},{c.stderr:.10g},{c.excluded},{c.rejections},{c.used},"
-            f"{c.hull_violations},{c.newton_iters_max}"
-        )
+        values = (getattr(c, k) for k in _CSV_COLUMNS)
+        lines.append(",".join(f"{v:.10g}" if isinstance(v, float) else str(v) for v in values))
     return "\n".join(lines) + "\n"
 
 

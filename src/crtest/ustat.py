@@ -100,14 +100,13 @@ def row_scores(times: np.ndarray, causes: np.ndarray) -> np.ndarray:
 def delta_hat(sample: Sample) -> float:
     """Pair-average estimate of delta; needs at least two observations.
 
-    Every addend is a multiple of 1/2, so the accumulation below is exact for
-    any realistic n; the row-then-total order is fixed for reproducibility.
+    It is sum(row) / (n(n - 1)) in one rounding: every row score is a
+    multiple of 1/2, so the sum is exact for n below about 9e7.
     """
     n = sample.n
     if n < 2:
         raise SampleTooSmall(f"delta_hat needs n >= 2 observations, got {n}")
-    total = float(row_scores(sample.times, sample.causes).sum()) / 2.0
-    return 2.0 * total / (n * (n - 1))
+    return float(row_scores(sample.times, sample.causes).sum()) / (n * (n - 1))
 
 
 class JackknifeSet(Record):
@@ -130,23 +129,17 @@ def jackknife_rows(times: np.ndarray, causes: np.ndarray) -> tuple[np.ndarray, n
     total, so the n leave-one-out estimates come from one pass of rank
     counts (``row_scores``) instead of n re-evaluations.  Needs n >= 3.
 
-    Pseudo-value i is exactly (2(n - 1)*row_i - sum(row)) / ((n - 1)(n - 2)),
-    so where that numerator is 0 it is +0.0, not the rounding residue
-    (about 1e-16) of the float formula: a row whose other pseudo-values all
-    have one sign is then a hull violation, as it is exactly.  Row scores
-    are multiples of 1/2, so the test of the numerator is exact for n below
-    about 9e7; every other pseudo-value keeps the float formula's bits.
+    Pseudo-value i is (2(n - 1)*row_i - sum(row)) / ((n - 1)(n - 2)), and
+    ``delta_hat`` is sum(row) / (n(n - 1)).  Row scores are multiples of
+    1/2, so for n below about 5e7 each numerator and denominator is exact
+    and each result is the exact quotient rounded once: its sign is exact,
+    and a zero is +0.0.
     """
     n = times.shape[-1]
     row = row_scores(times, causes)
-    # every row score is a multiple of 1/2, so these sums are exact
     sums = row.sum(axis=-1, keepdims=True)
-    total = sums / 2.0
-    d_full = 2.0 * total / (n * (n - 1))
-    loo = 2.0 * (total - row) / ((n - 1) * (n - 2))
-    pseudo = n * d_full - (n - 1) * loo
-    pseudo[2.0 * (n - 1) * row == sums] = 0.0
-    return d_full[..., 0], pseudo
+    pseudo = (2 * (n - 1) * row - sums) / ((n - 1) * (n - 2))
+    return sums[..., 0] / (n * (n - 1)), pseudo
 
 
 def jackknife(sample: Sample) -> JackknifeSet:

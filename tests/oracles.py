@@ -10,6 +10,7 @@ import csv
 import hashlib
 import io
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -148,15 +149,13 @@ def naive_jackknife(times, causes):
     return full, np.array(pseudo)
 
 
-def exact_row_class(times, causes) -> str:
-    """The ``jel`` class of one sample, from the exact signs of its pseudo-values.
+def exact_jackknife(times, causes):
+    """The exact ``delta_hat`` and pseudo-values of one sample, as ``Fraction``s.
 
     With k_i the integer sum of both orders' unsymmetrised pair scores of
     subject i over its partners (twice its row score) and K = sum(k),
-    pseudo-value i is (2(n - 1) * k_i - K) / (2(n - 1)(n - 2)), so its sign
-    is an integer's.  All zero is 'degenerate'; 0 strictly between the
-    smallest and the largest is 'solvable'; anything else is a 'hull'
-    violation.
+    ``delta_hat`` is K / (2n(n - 1)) and pseudo-value i is
+    (2(n - 1) * k_i - K) / (2(n - 1)(n - 2)).
     """
     t = np.asarray(times, dtype=np.float64)
     c = np.asarray(causes)
@@ -165,7 +164,17 @@ def exact_row_class(times, causes) -> str:
     raw -= later & (c[:, None] == 2) & (c[None, :] == 1)
     k = [int(x) for x in raw.sum(axis=1) + raw.sum(axis=0)]
     n, total = len(k), sum(k)
-    signs = {(w > 0) - (w < 0) for w in (2 * (n - 1) * ki - total for ki in k)}
+    pseudo = [Fraction(2 * (n - 1) * ki - total, 2 * (n - 1) * (n - 2)) for ki in k]
+    return Fraction(total, 2 * n * (n - 1)), pseudo
+
+
+def exact_row_class(times, causes) -> str:
+    """The ``jel`` class of one sample, from the exact signs of its pseudo-values.
+
+    All zero is 'degenerate'; 0 strictly between the smallest and the
+    largest is 'solvable'; anything else is a 'hull' violation.
+    """
+    signs = {(v > 0) - (v < 0) for v in exact_jackknife(times, causes)[1]}
     if signs == {0}:
         return "degenerate"
     return "solvable" if {-1, 1} <= signs else "hull"

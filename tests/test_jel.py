@@ -10,6 +10,7 @@ from crtest import (
     SampleTooSmall,
     chisq1_quantile,
     chisq1_sf,
+    delta_hat,
     jackknife,
     jel_statistic,
     jel_test,
@@ -23,6 +24,7 @@ from oracles import (
     CLOSED_FORM_LAMBDA,
     CLOSED_FORM_STAT,
     CLOSED_FORM_WEIGHTS,
+    exact_jackknife,
     exact_row_class,
     random_tc,
     sample_of,
@@ -219,11 +221,19 @@ def test_row_classes_equal_the_exact_integer_classes():
         for row, m in zip(lone, rng.integers(0, 4, size=r // 2)):
             row[rng.choice(n, size=min(m, n), replace=False)] = 2
         causes[::2] = np.where(rng.random((r // 2, 1)) < 0.5, lone, 3 - lone)
-        stat, degenerate = jel_statistics(jackknife_rows(times, causes)[1])[:2]
+        d, pseudo = jackknife_rows(times, causes)
+        stat, degenerate = jel_statistics(pseudo)[:2]
         got = np.where(degenerate, "degenerate", np.where(np.isinf(stat), "hull", "solvable"))
         exact = [exact_row_class(t, c) for t, c in zip(times, causes)]
         assert got.tolist() == exact, n
         seen.update(exact)
+        # every pseudo-value and delta_hat is its exact quotient rounded once
+        for t, c, d_row, v_row in zip(times, causes, d, pseudo):
+            exact_d, exact_v = exact_jackknife(t, c)
+            assert v_row.tobytes() == np.array([float(v) for v in exact_v]).tobytes(), n
+            s = Sample.from_arrays(t, c)
+            got_d = [float(x).hex() for x in (d_row, delta_hat(s), jackknife(s).delta_hat)]
+            assert got_d == [float(exact_d).hex()] * 3, n
     assert seen == {"degenerate", "hull", "solvable"}
 
 

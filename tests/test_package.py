@@ -5,7 +5,7 @@ from pathlib import Path
 import crtest
 
 
-# the public names of crtest 0.6.0
+# the public names of crtest 0.6.1
 EXPORTS = {
     "__version__", "Sample", "FamilyParams", "rng_from_seed", "sample", "true_delta",
     "DdkTestResult", "ddk_test", "CrtestError", "DegenerateSample", "DomainError",

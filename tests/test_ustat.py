@@ -205,23 +205,22 @@ def test_jackknife_rows_memory_is_linear_in_stack_size():
 
 
 def test_pseudo_values_are_pinned():
-    # SHA-256 of the pseudo-value bytes, taken before the flat rank-count
-    # kernel replaced the per-row stable sort and re-taken when exactly zero
-    # pseudo-values became +0.0 (two entries of the first stack moved from
-    # 8.9e-16); any change of a bit shows
+    # SHA-256 of the pseudo-value bytes, each the exact quotient
+    # (2(n - 1)*row_i - sum(row)) / ((n - 1)(n - 2)) rounded once; any
+    # change of a bit shows
     params = FamilyParams(lam=1.0, p1=0.3, a=1.5, seed=7)
     times, causes = draw(params, uniform_rows(params.seed, (1, 2), 0, 163, 200))
     pseudo = jackknife_rows(times, causes)[1]
     assert pseudo.shape == (163, 100)
     assert hashlib.sha256(pseudo.tobytes()).hexdigest() == (
-        "966cf938770b125d1e08dfb6204acd13bf5c98f79d32f5281d34aae4b8bfe48e"
+        "406bed98ea4421fdfa6c873b8434645b95d86c1871aaa501e6baf6871fc1d573"
     )
     rng = np.random.default_rng(59)
     times = rng.integers(0, 8, size=(40, 30)).astype(float)
     causes = rng.integers(1, 3, size=(40, 30))
     pseudo = jackknife_rows(times, causes)[1]
     assert hashlib.sha256(pseudo.tobytes()).hexdigest() == (
-        "ea76d8c6c4a651daaa23193ce15cca5adffb9de17cb845168bd804d8e04c5456"
+        "3d4a979bc9da1127cfbd37e063bb3edd559872402d233433faa6fe52a0f4f8e0"
     )
 
 
