@@ -3,8 +3,9 @@ crtest's result and parameter records.
 
 A sample is n failure times, each paired with which of two competing causes
 produced it.  :meth:`Sample.from_arrays` is its one constructor: it validates
-once and then hands out read-only numpy views, so the statistics modules
-never re-check inputs.
+once, so the statistics modules never re-check inputs.  Every record, a
+sample included, holds its array fields as read-only numpy views, also
+after pickle, ``copy.copy`` or ``copy.deepcopy`` restores it.
 """
 
 from __future__ import annotations
@@ -22,8 +23,10 @@ class Record:
     after that, assignment and deletion raise ``AttributeError``.  Records of
     one class are equal when their fields are, an array field by its values;
     they hash and print by their fields, and ``vars(record)`` is the field
-    dict.  A record holding an array or a dict is unhashable.  Making a class
-    generates and compiles no code, which keeps import time down.
+    dict.  A record holding an array or a dict is unhashable.  An array field
+    is stored as a read-only view, whether the record is built or restored
+    by pickle or copy.  Making a class generates and compiles no code, which
+    keeps import time down.
     """
 
     def __init_subclass__(cls, **kwargs):
@@ -31,8 +34,18 @@ class Record:
         cls.__match_args__ = tuple(cls.__annotations__)
 
     def __init__(self, *args, **kwargs):
-        object.__setattr__(self, "__dict__", self._fields_of(args, kwargs))
+        self.__setstate__(self._fields_of(args, kwargs))
         self.__post_init__()
+
+    def __setstate__(self, fields: dict) -> None:
+        # pickle and copy restore through here too; the dict is new, so that
+        # a shallow copy never edits the original's
+        fields = dict(fields)
+        for name, value in fields.items():
+            if isinstance(value, np.ndarray):
+                fields[name] = value = value.view()
+                value.flags.writeable = False
+        object.__setattr__(self, "__dict__", fields)
 
     @classmethod
     def _fields_of(cls, args: tuple, kwargs: dict) -> dict:
@@ -77,7 +90,7 @@ class Record:
         return f"{self.__class__.__qualname__}({fields})"
 
 
-class Sample:
+class Sample(Record):
     """Immutable, validated failure times and causes.
 
     Construction order is preserved; nothing here assumes sorted times.
@@ -85,7 +98,8 @@ class Sample:
     length so downstream code can broadcast without copying.
     """
 
-    __slots__ = ("_times", "_causes")
+    times: np.ndarray
+    causes: np.ndarray
 
     def __init__(self, *args, **kwargs):
         raise TypeError("build a Sample with Sample.from_arrays(times, causes)")
@@ -107,45 +121,27 @@ class Sample:
                 raise ValueError("every time must be finite and >= 0")
             if not np.all((c == 1) | (c == 2)):
                 raise ValueError("every cause must be 1 or 2")
-        c = c.astype(np.int64, copy=False)
         # -0.0 == 0.0 passes the checks; make it +0.0, as __hash__ reads bytes
         t += 0.0
-        t.flags.writeable = False
-        c.flags.writeable = False
         self = object.__new__(cls)
-        self._times, self._causes = t, c
+        self.__setstate__({"times": t, "causes": c.astype(np.int64, copy=False)})
         return self
 
     @property
-    def times(self) -> np.ndarray:
-        return self._times
-
-    @property
-    def causes(self) -> np.ndarray:
-        return self._causes
-
-    @property
     def n(self) -> int:
-        return self._times.size
+        return self.times.size
 
     def count_cause(self, cause: int) -> int:
         """Number of observations failing from the given cause."""
         if cause not in (1, 2):
             raise ValueError(f"cause must be 1 or 2, got {cause!r}")
-        return int(np.count_nonzero(self._causes == cause))
+        return int(np.count_nonzero(self.causes == cause))
 
     def __len__(self) -> int:
         return self.n
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Sample):
-            return NotImplemented
-        return np.array_equal(self._times, other._times) and np.array_equal(
-            self._causes, other._causes
-        )
-
     def __hash__(self) -> int:
-        return hash((self._times.tobytes(), self._causes.tobytes()))
+        return hash((self.times.tobytes(), self.causes.tobytes()))
 
     def __repr__(self) -> str:
         return f"Sample(n={self.n}, cause1={self.count_cause(1)}, cause2={self.count_cause(2)})"

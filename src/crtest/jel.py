@@ -87,7 +87,7 @@ def jel_statistics(
     statistic +inf; both get lam 0, residual 0 and 0 iterations.  The
     remaining rows are solved together, and each stops once its absolute
     score drops to the tolerance.  Raises :class:`NoConvergence` if a row is
-    still open after the iteration cap.
+    still open after the iteration cap or its statistic overflows.
 
     ``thresholds`` is for the Monte Carlo harness, which only asks which side
     of each one a statistic lies on.  A row whose bounds settle that before
@@ -123,7 +123,7 @@ def jel_statistics(
     act, da, q, ga = rows, d, d, np.add.reduce(d, axis=1) / n
     la, fa = np.zeros(rows.size), np.zeros(rows.size)
     step = 0
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         while True:
             # the root lies on the side of la that the score's sign points to
             pos = ga > 0.0
@@ -161,12 +161,15 @@ def jel_statistics(
             ga = np.add.reduce(q, axis=1) / n
             if q_up.size:
                 fa = 2.0 * np.add.reduce(np.log(w, out=w), axis=1)
-    # a converged row's statistic is 2*sum(log(1 + lam*d)), which is >= 0;
-    # where rounding leaves it at or below 0 the statistic is +0.0
-    solved = residual[rows] <= _TOL
-    s = rows[solved]
-    t = 2.0 * np.add.reduce(np.log1p(lam[s, None] * d[solved]), axis=1)
-    stat[s] = np.where(t > 0.0, t, 0.0)
+        # a converged row's statistic is 2*sum(log(1 + lam*d)), which is >= 0;
+        # where rounding leaves it at or below 0 the statistic is +0.0
+        solved = residual[rows] <= _TOL
+        s = rows[solved]
+        t = 2.0 * np.add.reduce(np.log1p(lam[s, None] * d[solved]), axis=1)
+    stat[s] = np.where(t <= 0.0, 0.0, t)
+    # an overflowing lam*d must not leave an inf or NaN to pass as a result
+    if not np.isfinite(stat[rows]).all():
+        raise NoConvergence("the solve overflowed to a non-finite statistic")
     return stat, degenerate, iterations, lam, residual
 
 
@@ -182,9 +185,10 @@ def jel_statistic(pseudo_values, delta0: float = 0.0) -> tuple[float, bool, bool
     is not strictly inside the pseudo-value hull the weight problem is
     infeasible: the statistic is +inf — unbounded evidence against the
     hypothesis — and ``el`` is None.  Raises :class:`NoConvergence` if the
-    solve hits its iteration cap.  Pseudo-values other than a 1-d array of
-    finite real numbers, or a ``delta0`` that is not a finite real number,
-    raise ``ValueError``.
+    solve hits its iteration cap or overflows, as at pseudo-values
+    (-1e-300, 1e300, 1).  Pseudo-values other than a 1-d array of finite
+    real numbers, or a ``delta0`` that is not a finite real number, raise
+    ``ValueError``.
     """
     v = reals(pseudo_values, "pseudo-values")
     delta0 = real(delta0, "delta0", -math.inf, math.inf, "()", what="finite and real")
@@ -200,7 +204,6 @@ def jel_statistic(pseudo_values, delta0: float = 0.0) -> tuple[float, bool, bool
     if math.isinf(stat[0]):
         return math.inf, False, False, None
     weights = 1.0 / (n * (1.0 + lam[0] * d))
-    weights.flags.writeable = False
     el = ElSolution(
         lam=float(lam[0]),
         weights=weights,

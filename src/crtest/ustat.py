@@ -152,5 +152,4 @@ def jackknife(sample: Sample) -> JackknifeSet:
     if n < 3:
         raise SampleTooSmall(f"jackknife needs n >= 3 observations, got {n}")
     d_full, pseudo = jackknife_rows(sample.times, sample.causes)
-    pseudo.flags.writeable = False
     return JackknifeSet(delta_hat=float(d_full), pseudo_values=pseudo, n=n)

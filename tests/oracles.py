@@ -96,11 +96,12 @@ def kernel_sym(a, b) -> float:
 
 # --- naive pairwise statistics -------------------------------------------
 
-def naive_delta_hat(times, causes) -> float:
-    """Average the symmetrized pair score with plain loops.
+def naive_delta_hat(times, causes) -> Fraction:
+    """Average the symmetrized pair score with plain loops, exactly.
 
     The two argument orders are written out branch by branch; ties in time
-    contribute nothing.
+    contribute nothing.  The float pair total is a multiple of 1/2, so it is
+    exact, and so is the returned ``Fraction``.
     """
     n = len(times)
     if n < 2:
@@ -120,7 +121,7 @@ def naive_delta_hat(times, causes) -> float:
                     total += 0.5
                 elif cl == 2 and ci == 1:
                     total -= 0.5
-    return 2.0 * total / (n * (n - 1))
+    return Fraction(2.0 * total) / (n * (n - 1))
 
 
 def dense_row_sums(times, causes) -> np.ndarray:
@@ -138,7 +139,10 @@ def dense_row_sums(times, causes) -> np.ndarray:
 
 
 def naive_jackknife(times, causes):
-    """Leave-one-out pseudo-values by full recomputation, O(n^3)."""
+    """Leave-one-out pseudo-values by full recomputation, O(n^3).
+
+    Returns the exact ``delta_hat`` and list of pseudo-values as ``Fraction``s.
+    """
     n = len(times)
     full = naive_delta_hat(times, causes)
     pseudo = []
@@ -146,7 +150,7 @@ def naive_jackknife(times, causes):
         t_wo = [times[k] for k in range(n) if k != i]
         c_wo = [causes[k] for k in range(n) if k != i]
         pseudo.append(n * full - (n - 1) * naive_delta_hat(t_wo, c_wo))
-    return full, np.array(pseudo)
+    return full, pseudo
 
 
 def exact_jackknife(times, causes):

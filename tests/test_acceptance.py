@@ -69,21 +69,19 @@ def _mixed_sample(rng) -> tuple[np.ndarray, np.ndarray]:
 def test_incremental_jackknife_equals_naive_recomputation():
     rng = np.random.default_rng(20260816)
     started = time.perf_counter()
-    worst = 0.0
+    mismatches = 0
     for _ in range(200):
         times, causes = _mixed_sample(rng)
         jk = jackknife(Sample.from_arrays(times, causes))
         full, pseudo = naive_jackknife(list(times), list(causes))
-        worst = max(
-            worst,
-            abs(jk.delta_hat - full),
-            float(np.max(np.abs(jk.pseudo_values - pseudo))),
-        )
+        # each value is its exact quotient rounded once, signed zeros included
+        got = np.array([jk.delta_hat, *jk.pseudo_values]).tobytes()
+        mismatches += got != np.array([float(x) for x in (full, *pseudo)]).tobytes()
     elapsed = time.perf_counter() - started
     _record(
         "incremental jackknife equals naive leave-one-out (200 samples, n 3..50)",
-        worst <= 1e-12 and elapsed < 10.0,
-        f"max abs diff {worst:.2e} (tol 1e-12), {elapsed:.1f}s (limit 10s)",
+        mismatches == 0 and elapsed < 10.0,
+        f"{mismatches} samples differ in a bit from the exact values, {elapsed:.1f}s (limit 10s)",
     )
 
 

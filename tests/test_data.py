@@ -1,10 +1,12 @@
+import copy
 import pickle
 
 import numpy as np
 import pytest
 
 from crtest import (
-    FamilyParams, IngestSpec, Sample, SimCell, SimConfig, SimTable, jackknife, jel_test,
+    FamilyParams, IngestSpec, Sample, SimCell, SimConfig, SimTable, jackknife, jel_statistic,
+    jel_test,
 )
 from crtest.data import Record
 
@@ -185,3 +187,34 @@ def test_sim_config_pickles_as_it_is_sent_to_pool_workers():
     copy = pickle.loads(pickle.dumps(config))
     assert copy == config and copy is not config and hash(copy) == hash(config)
     assert repr(copy) == repr(config)
+
+
+def arrays_of(record):
+    """The array fields of a record and of the records it holds."""
+    for value in vars(record).values():
+        if isinstance(value, np.ndarray):
+            yield value
+        elif isinstance(value, Record):
+            yield from arrays_of(value)
+
+
+def test_copies_keep_values_frozen():
+    s = sample_of((1, 1), (2, 2), (3, 1), (4, 2), (5, 1))
+    records = [s, jackknife(s), jel_statistic([-1.0, 0.5, 2.0])[3], jel_test(s)]
+    copiers = [copy.copy, copy.deepcopy] + [
+        lambda r, protocol=protocol: pickle.loads(pickle.dumps(r, protocol))
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+    ]
+    for record in records:
+        fields, before = vars(record), dict(vars(record))
+        for copier in copiers:
+            duplicate = copier(record)
+            assert duplicate == record and duplicate is not record
+            if isinstance(record, Sample):
+                assert hash(duplicate) == hash(record)
+            writeable = [a.flags.writeable for a in arrays_of(duplicate)]
+            assert writeable and not any(writeable)
+            # restoring a copy neither swaps nor edits the original's fields
+            assert vars(record) is fields and list(fields) == list(before)
+            assert all(fields[k] is v for k, v in before.items())
+            assert not any(a.flags.writeable for a in arrays_of(record))

@@ -278,6 +278,22 @@ def test_non_finite_pseudo_values_raise():
             jel_statistic([-1.0, 0.5, 2.0], delta0)
 
 
+def test_an_overflowing_solve_raises_instead_of_reading_as_a_hull_violation():
+    # 0 is strictly inside both hulls, so each statistic is finite; here
+    # lam*d overflows, and an inf statistic would read as a hull violation
+    with pytest.raises(NoConvergence, match="overflowed"):
+        jel_statistic([-1e-300, 1e300, 1.0])
+    for thresholds in [(), (Q95, Q99)]:
+        with pytest.raises(NoConvergence, match="overflowed"):
+            jel_statistics(np.array([[-1e-300, 1e300, 1.0]]), thresholds)
+    # the statistic is scale-free, and a solve that only overflows in
+    # passing still finishes, without an overflow warning
+    stat, hull_ok, degenerate, _ = jel_statistic([-1e300, 1e300, 5e299])
+    assert (hull_ok, degenerate) == (True, False)
+    assert stat == pytest.approx(jel_statistic([-1.0, 1.0, 0.5])[0], rel=1e-12)
+    assert stat == pytest.approx(0.1096, abs=1e-4)
+
+
 def test_statistic_invariant_under_cause_relabeling():
     rng = np.random.default_rng(43)
     for _ in range(10):

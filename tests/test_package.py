@@ -1,8 +1,12 @@
 import ast
+import importlib
 import re
 from pathlib import Path
 
+from numpy.random.bit_generator import ISeedSequence
+
 import crtest
+from crtest.data import Record
 
 
 # the public names of crtest 0.6.1
@@ -105,3 +109,19 @@ def test_every_module_level_definition_is_public_or_used():
             if name not in crtest._LAZY and name not in used | entry_points:
                 unused.append(f"{module}:{name}")
     assert not unused, unused
+
+
+def test_every_class_is_a_record_or_an_exception():
+    # one design per job: values derive from data.Record and errors from
+    # Exception; datagen's seed words implement numpy's seed protocol
+    bases = (Record, Exception, ISeedSequence)
+    src = Path(crtest.__file__).parent
+    others = []
+    for path in sorted(src.glob("*.py")):
+        classes = [node.name for node in ast.parse(path.read_text()).body
+                   if isinstance(node, ast.ClassDef)]
+        if classes:
+            module = importlib.import_module(f"crtest.{path.stem}")
+            others += [f"{path.name}:{name}" for name in classes
+                       if not issubclass(getattr(module, name), bases)]
+    assert not others, others

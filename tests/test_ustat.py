@@ -73,7 +73,7 @@ def test_delta_hat_matches_naive_on_random_samples():
         n = int(rng.integers(2, 30))
         times, causes = random_tc(rng, n, with_ties=bool(trial % 3 == 0))
         s = Sample.from_arrays(times, causes)
-        assert delta_hat(s) == pytest.approx(naive_delta_hat(times, causes), abs=1e-13)
+        assert delta_hat(s) == float(naive_delta_hat(times, causes))
 
 
 def test_row_scores_agree_with_scalar_kernel():
@@ -254,8 +254,8 @@ def test_jackknife_matches_naive_recomputation():
         times, causes = random_tc(rng, n, with_ties=bool(trial % 2))
         jk = jackknife(Sample.from_arrays(times, causes))
         full, pseudo = naive_jackknife(list(times), list(causes))
-        assert jk.delta_hat == pytest.approx(full, abs=1e-13)
-        np.testing.assert_allclose(jk.pseudo_values, pseudo, atol=1e-12)
+        got = np.array([jk.delta_hat, *jk.pseudo_values]).tobytes()
+        assert got == np.array([float(x) for x in (full, *pseudo)]).tobytes()
 
 
 def test_pseudo_values_are_readonly():
