@@ -25,20 +25,22 @@ result of solving it alone.  It serves the Monte Carlo harness a whole
 block at a time; ``jel_statistic`` is its one-row case at any hypothesised
 mean delta0, so the single-sample API and the harness run the same code.
 
-The harness only asks which side of each chi-square quantile a statistic
-falls on, so it passes those quantiles as thresholds and a row stops as
-soon as that is settled.  With f(lam) = sum(log(1 + lam*d_i)), concave
-with slope n*score and its maximum at the root, the statistic
-T = 2*f(root) satisfies, at an iterate lam inside the bracket [lo, hi]
-that holds the root, which starts as Owen's bound (2001, sec. 3.14),
+Each row stops on bounds for its statistic.  With f(lam) =
+sum(log(1 + lam*d_i)), concave with slope n*score and its maximum at the
+root, the statistic T = 2*f(root) satisfies, at an iterate lam inside the
+bracket [lo, hi] that holds the root, which starts as Owen's bound (2001,
+sec. 3.14),
 
     L = 2*f(lam) <= T <= L + 2*n*score(lam)*(hi - lam if score > 0 else lo - lam) = U.
 
-A row is decided once no threshold q lies in [L - m, U + m], where the
-margin m = 1e-9 * max(1, max q) absorbs the rounding of both bounds; it
-then reports L, which is on the same side of every q as T.  Rows that are
-not decided are solved to the tolerance as without thresholds, and with no
-thresholds nothing changes.
+A row stops once the duality gap U - L is at most eps * max(1, L), with
+eps = 1e-13, a rule that, like T, does not change when the pseudo-values
+are scaled.  The harness only asks which side of each chi-square quantile
+a statistic falls on, so it passes those quantiles as thresholds, and a row
+also stops once no threshold q lies in [L - m, U + m], where the margin
+m = 1e-9 * max(1, max q) absorbs the rounding of both bounds: L is then on
+the same side of every q as T.  Either way the row reports L, computed as
+2*sum(log1p(lam*d_i)) so that a small statistic keeps its digits.
 """
 
 from __future__ import annotations
@@ -54,7 +56,8 @@ from .errors import NoConvergence, SampleTooSmall
 from .specialfn import chisq1_quantile, chisq1_sf
 from .ustat import jackknife
 
-_TOL = 1e-10
+# a row is solved once its duality gap U - L is at most this * max(1, L)
+_EPS = 1e-13
 _MAX_ITER = 100
 # a row is decided only with every threshold this far (relative to the
 # largest, at least 1) outside its bounds, which absorbs their rounding
@@ -66,7 +69,8 @@ class ElSolution(Record):
 
     ``lam`` is the Lagrange multiplier, ``weights`` the maximizing
     probabilities (each in (0, 1), summing to 1), ``log_ratio`` the profiled
-    log empirical likelihood ratio (always <= 0).
+    log empirical likelihood ratio (always <= 0), ``iterations`` the steps
+    the solve took and ``residual`` the absolute mean score at ``lam``.
     """
 
     lam: float
@@ -85,16 +89,15 @@ def jel_statistics(
     length R.  An all-zero row is degenerate, with statistic 0; a row
     without 0 strictly inside its (min, max) is a hull violation, with
     statistic +inf; both get lam 0, residual 0 and 0 iterations.  The
-    remaining rows are solved together, and each stops once its absolute
-    score drops to the tolerance.  Raises :class:`NoConvergence` if a row is
-    still open after the iteration cap or its statistic overflows.
+    remaining rows are solved together, and each stops once its duality gap
+    is at most 1e-13 * max(1, L) and reports its lower bound L (module
+    docstring).  Raises :class:`NoConvergence` if a row is still open after
+    the iteration cap or its statistic overflows.
 
     ``thresholds`` is for the Monte Carlo harness, which only asks which side
     of each one a statistic lies on.  A row whose bounds settle that before
-    it converges stops there: its statistic is a lower bound on the solved
-    one, on the same side of every threshold, and its iterations, lam and
-    residual are those of the step that decided it.  Other rows are solved
-    as without thresholds.
+    its gap closes stops there, with L on the same side of every threshold
+    as the solved statistic.
     """
     v = pseudo_values
     r, n = v.shape
@@ -109,11 +112,6 @@ def jel_statistics(
     d = v
     if rows.size < r:
         d, v_min, v_max = v[rows], v_min[rows], v_max[rows]
-    # The score falls from +inf to -inf across (-1/max, -1/min), so the
-    # root is unique.  Its weights 1/(n(1 + lam*d_i)) sum to 1, so none
-    # exceeds 1, which brackets it by Owen's bound (Empirical
-    # Likelihood, 2001, sec. 3.14).
-    lo, hi = (1.0 / n - 1.0) / v_max, (1.0 / n - 1.0) / v_min
     # a threshold q keeps a row open while L <= q + m and q - m <= U
     qs = np.sort(np.asarray(thresholds, dtype=np.float64))
     margin = _MARGIN * max([1.0, *thresholds])
@@ -124,18 +122,23 @@ def jel_statistics(
     la, fa = np.zeros(rows.size), np.zeros(rows.size)
     step = 0
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # The score falls from +inf to -inf across (-1/max, -1/min), so the
+        # root is unique.  Its weights 1/(n(1 + lam*d_i)) sum to 1, so none
+        # exceeds 1, which brackets it by Owen's bound (Empirical Likelihood,
+        # 2001, sec. 3.14); subnormal values overflow it to a non-finite T.
+        lo, hi = (1.0 / n - 1.0) / v_max, (1.0 / n - 1.0) / v_min
         while True:
             # the root lies on the side of la that the score's sign points to
             pos = ga > 0.0
             lo = np.where(pos, la, lo)
             hi = np.where(pos, hi, la)
+            # one end of the updated bracket is la, so U - L in the module
+            # docstring is 2n*|ga|*(hi - lo); a NaN gap stops the row too
             ag = np.abs(ga)
-            left = ag > _TOL
+            gap = 2.0 * n * ag * (hi - lo)
+            left = gap > _EPS * np.maximum(1.0, fa)
             if q_up.size:
-                # one end of the updated bracket is la, so U in the module
-                # docstring is L + 2n*|ga|*(hi - lo)
-                upper = fa + 2.0 * n * ag * (hi - lo)
-                left &= q_up.searchsorted(fa) < q_down.searchsorted(upper, side="right")
+                left &= q_up.searchsorted(fa) < q_down.searchsorted(fa + gap, side="right")
             active = np.count_nonzero(left)
             if active < act.size:
                 done = ~left
@@ -144,11 +147,11 @@ def jel_statistics(
                 if not active:
                     break
                 act, da, q, ga, fa = act[left], da[left], q[left], ga[left], fa[left]
-                la, lo, hi = la[left], lo[left], hi[left]
+                la, lo, hi, gap = la[left], lo[left], hi[left], gap[left]
             if step == _MAX_ITER:
                 raise NoConvergence(
-                    f"score residual {float(np.abs(ga).max()):.3e} after {step} iterations "
-                    f"(tol {_TOL:g}) in {act.size} of {rows.size} rows"
+                    f"relative duality gap {float((gap / np.maximum(1.0, fa)).max()):.3e} "
+                    f"after {step} iterations (eps {_EPS:g}) in {act.size} of {rows.size} rows"
                 )
             step += 1
             # the score's slope is -mean(q*q); a NaN or infinite Newton step
@@ -156,19 +159,15 @@ def jel_statistics(
             nxt = la + ga / (np.add.reduce(q * q, axis=1) / n)
             la = np.where((lo < nxt) & (nxt < hi), nxt, 0.5 * (lo + hi))
             w = la[:, None] * da
+            fa = 2.0 * np.add.reduce(np.log1p(w), axis=1)
             w += 1.0
             q = da / w
             ga = np.add.reduce(q, axis=1) / n
-            if q_up.size:
-                fa = 2.0 * np.add.reduce(np.log(w, out=w), axis=1)
-        # a converged row's statistic is 2*sum(log(1 + lam*d)), which is >= 0;
-        # where rounding leaves it at or below 0 the statistic is +0.0
-        solved = residual[rows] <= _TOL
-        s = rows[solved]
-        t = 2.0 * np.add.reduce(np.log1p(lam[s, None] * d[solved]), axis=1)
-    stat[s] = np.where(t <= 0.0, 0.0, t)
+    # T >= 0; where rounding leaves L at or below 0 the statistic is +0.0
+    t = stat[rows]
+    stat[rows] = np.where(t <= 0.0, 0.0, t)
     # an overflowing lam*d must not leave an inf or NaN to pass as a result
-    if not np.isfinite(stat[rows]).all():
+    if not np.isfinite(t).all():
         raise NoConvergence("the solve overflowed to a non-finite statistic")
     return stat, degenerate, iterations, lam, residual
 

@@ -7,15 +7,18 @@ package against these, never the other way around.
 """
 
 import csv
+import decimal
 import hashlib
 import io
 import math
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
 from crtest import IngestResult, NegativeTime, ParseError, Sample, UnmappedLabel
+from crtest.jel import _EPS
 
 # --- frozen closed forms -------------------------------------------------
 #
@@ -196,21 +199,23 @@ def random_tc(rng, n: int, with_ties: bool = False):
 
 # --- scalar empirical-likelihood solve ---------------------------------------
 
-def scalar_solve_lambda(d, tol: float = 1e-10, max_iter: int = 100, thresholds=()):
+def scalar_solve_lambda(d, max_iter: int = 100, thresholds=()):
     """One-sample safeguarded Newton solve of the EL score equation at 0.
 
-    The package's solver before it was vectorised over rows, kept step for
-    step: Owen's closed-form bracket, one Newton step per iteration with a
-    bisection fallback, Python-float scalars throughout.  ``d`` must have
-    min < 0 < max.  Returns ``(lam, iterations, residual, statistic)``, or
-    None when the cap is hit unconverged.
+    The solve of one row written with Python-float scalars, step for step
+    as the package takes it: Owen's closed-form bracket, one Newton step per
+    iteration with a bisection fallback.  ``d`` must have min < 0 < max.
+    Returns ``(lam, iterations, residual, statistic)``, or None when the cap
+    is hit with the solve still open.
 
-    With ``thresholds``, the solve also stops at the first iterate whose
-    bounds [low, high] leave every threshold t with t + m < low or
-    t - m > high, m = 1e-9 * max(1, max threshold), and returns low as the
-    statistic.  f(lam) = sum(log(1 + lam*d)) is concave and the statistic is
-    2 f at the root, so low = 2 f(lam) and high = low + 2 f'(lam) * (end -
-    lam), where end is the bracket end on the side the score points to.
+    f(lam) = sum(log(1 + lam*d)) is concave and the statistic is 2 f at the
+    root, so at each iterate it lies in [low, high], with low = 2 f(lam)
+    and high = low + 2 f'(lam) * (end - lam), where end is the bracket end
+    on the side the score points to.  The solve stops once high - low <=
+    _EPS * max(1, low), with the package's own ``_EPS``, and returns low as
+    the statistic (+0.0 if not positive).  With ``thresholds``, it also
+    stops at the first iterate whose bounds leave every threshold t with
+    t + m < low or t - m > high, m = 1e-9 * max(1, max threshold).
     """
     d = np.asarray(d, dtype=np.float64)
     n = d.size
@@ -222,29 +227,59 @@ def scalar_solve_lambda(d, tol: float = 1e-10, max_iter: int = 100, thresholds=(
     g = float(np.mean(q))
     low = 0.0
     iterations = 0
-    while abs(g) > tol:
-        if thresholds:
-            high = low + 2.0 * n * g * ((hi if g > 0.0 else lo) - lam)
-            if not any(low <= t + margin and t - margin <= high for t in thresholds):
-                return lam, iterations, abs(g), low
-        if iterations == max_iter:
-            return None
-        iterations += 1
+    while True:
         if g > 0.0:
             lo = lam
         else:
             hi = lam
+        gap = 2.0 * n * abs(g) * (hi - lo)
+        if not gap > _EPS * max(1.0, low):
+            break
+        high = low + gap
+        if thresholds and not any(low <= t + margin and t - margin <= high for t in thresholds):
+            break
+        if iterations == max_iter:
+            return None
+        iterations += 1
         nxt = lam + g / float(np.mean(q * q))
         if not (lo < nxt < hi) or not math.isfinite(nxt):
             nxt = 0.5 * (lo + hi)
         lam = nxt
-        w = 1.0 + lam * d
-        q = d / w
+        w = lam * d
+        low = 2.0 * float(np.sum(np.log1p(w)))
+        q = d / (w + 1.0)
         g = float(np.mean(q))
-        low = 2.0 * float(np.sum(np.log(w)))
-    log_ratio = min(0.0, -float(np.sum(np.log1p(lam * d))))
-    # subtracting from 0.0 reports a zero statistic as +0.0, not -0.0
-    return lam, iterations, abs(g), 0.0 - 2.0 * log_ratio
+    return lam, iterations, abs(g), low if low > 0.0 else 0.0
+
+
+def decimal_el_statistic(d) -> float:
+    """The EL statistic 2 * sum(log(1 + lam*d_i)) at the root of the score,
+    solved in 60-digit decimal arithmetic.
+
+    Each float in ``d`` converts to ``Decimal`` exactly, and ``d`` must have
+    min < 0 < max.  The score sum(d_i / (1 + lam*d_i)) falls across Owen's
+    bracket, where every 1 + lam*d_i is at least 1/n, so bisection narrows
+    that bracket to 1e-30 of its width and three Newton steps then take the
+    root to the working precision.
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        x = [Decimal(float(v)) for v in d]
+        one, n = Decimal(1), len(x)
+        lo = (one / n - one) / max(x)
+        hi = (one / n - one) / min(x)
+        width = (hi - lo) / Decimal(10) ** 30
+        while hi - lo > width:
+            mid = (lo + hi) / 2
+            if sum(v / (one + mid * v) for v in x) > 0:
+                lo = mid
+            else:
+                hi = mid
+        lam = (lo + hi) / 2
+        for _ in range(3):
+            q = [v / (one + lam * v) for v in x]
+            lam += sum(q) / sum(t * t for t in q)
+        return float(2 * sum((one + lam * v).ln() for v in x))
 
 
 # --- row-loop CSV reader -----------------------------------------------------

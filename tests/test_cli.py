@@ -188,7 +188,7 @@ def test_help_exits_0(capsys):
 
 def test_version(capsys):
     assert cli_main(["--version"]) == 0
-    assert "crtest 0.6.1" in capsys.readouterr().out
+    assert "crtest 0.6.2" in capsys.readouterr().out
 
 
 def test_simulate_csv(capsys):
@@ -480,11 +480,11 @@ def test_golden_ties(tmp_path, capsys):
         "decision:      do not reject independence at alpha=0.05",
     )
     assert golden_report(tmp_path, capsys, "ties", "json") == golden_json("ties", "jel", 9, {
-        "statistic": 0.5031744124456984, "p_value": 0.47810862386569036, "reject": False,
+        "statistic": 0.5031744124456983, "p_value": 0.4781086238656904, "reject": False,
         "alpha": 0.05, "delta_hat": 0.08333333333333333, "n": 9, "hull_ok": True,
         "degenerate": False,
-        "el": {"lam": 0.645994713170373, "log_ratio": -0.2515872062228492, "iterations": 4,
-               "residual": 9.745290993931929e-15},
+        "el": {"lam": 0.6459947131703088, "log_ratio": -0.25158720622284914, "iterations": 5,
+               "residual": 1.850371707708594e-17},
     })
 
 

@@ -24,12 +24,19 @@ from oracles import (
     CLOSED_FORM_LAMBDA,
     CLOSED_FORM_STAT,
     CLOSED_FORM_WEIGHTS,
+    decimal_el_statistic,
     exact_jackknife,
     exact_row_class,
     random_tc,
     sample_of,
     scalar_solve_lambda,
 )
+
+
+def assert_matches_decimal(stat, d):
+    """``stat`` is the EL statistic of ``d`` to 1e-12 * max(1, T)."""
+    exact = decimal_el_statistic(d)
+    assert abs(stat - exact) <= 1e-12 * max(1.0, exact), (stat, exact)
 
 
 def random_pseudo(rng, n):
@@ -45,7 +52,7 @@ def test_closed_form_solution():
     assert el.lam == pytest.approx(CLOSED_FORM_LAMBDA, abs=1e-10)
     assert -2.0 * el.log_ratio == pytest.approx(CLOSED_FORM_STAT, abs=1e-12)
     np.testing.assert_allclose(el.weights, CLOSED_FORM_WEIGHTS, atol=1e-10)
-    assert el.residual <= 1e-10
+    assert_matches_decimal(-2.0 * el.log_ratio, [-1.0, 1.0, 1.0])
 
 
 def test_symmetric_pseudo_values_solve_at_zero():
@@ -62,13 +69,20 @@ def test_closed_form_tail_probability():
 
 
 def test_lambda_scales_inversely_with_deviation_scale():
+    # T does not change when the pseudo-values are scaled, so neither may
+    # the point where the solve stops
     rng = np.random.default_rng(53)
-    v = random_pseudo(rng, 20)
-    base = jel_statistic(v)[3]
-    for c in (0.5, 2.0, 10.0):
-        scaled = jel_statistic(c * v)[3]
-        assert scaled.lam == pytest.approx(base.lam / c, rel=1e-7, abs=1e-12)
-        assert scaled.log_ratio == pytest.approx(base.log_ratio, rel=1e-7, abs=1e-12)
+    rows = [random_pseudo(rng, 20), random_pseudo(rng, 120),
+            np.random.default_rng(3).normal(size=30) + 0.3]
+    for v in rows:
+        base = jel_statistic(v)[3]
+        for c in [c for k in range(-12, 13) for c in (2.0**k, 10.0**k)]:
+            scaled = jel_statistic(c * v)[3]
+            assert scaled.lam == pytest.approx(base.lam / c, rel=1e-7)
+            assert scaled.log_ratio == pytest.approx(base.log_ratio, rel=1e-13, abs=0)
+    # T = 3.0124 rejects at alpha = 0.1 at every scale
+    assert jel_statistic(rows[2])[0] == pytest.approx(3.0124, abs=1e-4)
+    assert jel_statistic(rows[2] * 1e-10)[0] > chisq1_quantile(0.9)
 
 
 def test_trivial_all_equal_case():
@@ -102,7 +116,7 @@ def test_weights_are_a_probability_vector():
         assert np.all(el.weights > 0.0) and np.all(el.weights < 1.0)
         # the solved weights satisfy the mean constraint
         assert float(el.weights @ v) == pytest.approx(0.0, abs=1e-9)
-        assert el.residual <= 1e-10
+        assert_matches_decimal(-2.0 * el.log_ratio, v)
         assert el.iterations <= 100
         assert el.log_ratio <= 0.0
 
@@ -280,12 +294,15 @@ def test_non_finite_pseudo_values_raise():
 
 def test_an_overflowing_solve_raises_instead_of_reading_as_a_hull_violation():
     # 0 is strictly inside both hulls, so each statistic is finite; here
-    # lam*d overflows, and an inf statistic would read as a hull violation
-    with pytest.raises(NoConvergence, match="overflowed"):
-        jel_statistic([-1e-300, 1e300, 1.0])
-    for thresholds in [(), (Q95, Q99)]:
+    # lam*d overflows, or with subnormal values Owen's bracket does, and an
+    # inf statistic would read as a hull violation
+    subnormal = (np.random.default_rng(3).normal(size=30) + 0.3) * 1e-310
+    for v in (np.array([-1e-300, 1e300, 1.0]), subnormal):
         with pytest.raises(NoConvergence, match="overflowed"):
-            jel_statistics(np.array([[-1e-300, 1e300, 1.0]]), thresholds)
+            jel_statistic(v)
+        for thresholds in [(), (Q95, Q99)]:
+            with pytest.raises(NoConvergence, match="overflowed"):
+                jel_statistics(v[None, :], thresholds)
     # the statistic is scale-free, and a solve that only overflows in
     # passing still finishes, without an overflow warning
     stat, hull_ok, degenerate, _ = jel_statistic([-1e300, 1e300, 5e299])
@@ -314,8 +331,35 @@ def test_solver_handles_extreme_but_interior_hypothesis():
     mean = float(v.mean())
     delta0 = mean + 0.999 * (edge - mean)
     el = jel_statistic(v, delta0)[3]
-    assert el.residual <= 1e-10
+    assert_matches_decimal(-2.0 * el.log_ratio, v - delta0)
     assert -2.0 * el.log_ratio > 10.0
+
+
+@pytest.mark.parametrize("n", [5, 20, 200])
+def test_rows_near_the_hull_edge_match_the_decimal_oracle(n):
+    # one pseudo-value just above 0 and the rest well below: every score
+    # term is then about 1/lam, small long before the root is reached
+    rng = np.random.default_rng(n)
+    v = -rng.uniform(0.1, 1.1, size=(11, n))
+    v[:, rng.integers(n)] = 10.0 ** np.arange(-14.0, -3.0)
+    stat = jel_statistics(v)[0]
+    for row, t in zip(v, stat):
+        assert_matches_decimal(t, row)
+
+
+def test_jackknife_rows_of_tied_unbalanced_samples_match_the_decimal_oracle():
+    rng = np.random.default_rng(73)
+    checked = 0
+    for n in (4, 6, 10, 20, 40, 80, 120):
+        times = rng.integers(0, max(2, n // 3), size=(30, n)).astype(float)
+        causes = np.where(rng.random((30, n)) < rng.uniform(0.03, 0.3, size=(30, 1)), 1, 2)
+        pseudo = jackknife_rows(times, causes)[1]
+        stat = jel_statistics(pseudo)[0]
+        rows = np.flatnonzero((pseudo.min(axis=1) < 0.0) & (pseudo.max(axis=1) > 0.0))
+        for i in rows[:15]:
+            assert_matches_decimal(stat[i], pseudo[i])
+        checked += min(rows.size, 15)
+    assert checked > 80
 
 
 @pytest.mark.parametrize("with_ties", [True, False])
@@ -379,7 +423,8 @@ def test_no_convergence_counts_the_solvable_rows_of_a_mixed_stack(monkeypatch):
     v = np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 3.0], [-1.0, 1.0, 1.0], [-1.0, 0.5, 2.0]])
     with pytest.raises(NoConvergence) as info:
         jel_statistics(v)
-    assert str(info.value) == "score residual 1.034e-01 after 1 iterations (tol 1e-10) in 1 of 2 rows"
+    assert str(info.value) == (
+        "relative duality gap 2.364e-01 after 1 iterations (eps 1e-13) in 1 of 2 rows")
 
 
 Q95, Q99 = chisq1_quantile(0.95), chisq1_quantile(0.99)
@@ -434,7 +479,10 @@ def test_threshold_decisions_match_the_full_solve(thresholds):
         assert np.array_equal(stat[:, None] > thresholds, full[0][:, None] > thresholds)
         assert np.array_equal(degenerate, full[1])
         assert np.array_equal(np.isinf(stat), np.isinf(full[0]))
-        assert np.all(stat <= full[0]) and np.all(iterations <= full[2])
+        # both are lower bounds on T, and T is within _EPS * max(1, T) of the
+        # full one, so a row decided early may read up to that gap above it
+        assert np.all(stat <= full[0] + crtest.jel._EPS * np.maximum(1.0, full[0]))
+        assert np.all(iterations <= full[2])
         for i in np.flatnonzero(np.isfinite(stat) & ~degenerate):
             # no thresholds is the solver kept step for step, bit for bit
             ref = scalar_solve_lambda(pseudo[i])
@@ -445,12 +493,15 @@ def test_threshold_decisions_match_the_full_solve(thresholds):
             assert np.array([stat[i], lam[i], residual[i]]).tobytes() == np.array(
                 [ref[3], ref[0], ref[2]]).tobytes()
             assert iterations[i] == ref[1]
-            if residual[i] > 1e-10:
+            if iterations[i] < full[2][i]:
                 decided_rows += 1
                 # a decided row is off every threshold by more than the margin,
                 # and one decided before any step reports the bound 2*f(0) = 0
                 assert np.all(np.abs(full[0][i] - np.array(thresholds)) > 1e-9)
                 assert iterations[i] or stat[i] == 0.0
+            else:
+                # the same iterate as the full solve, so the same bits
+                assert stat[i] == full[0][i]
     assert decided_rows > 100
     # statistics within 1e-12 of a threshold are never decided early
     stat, _, iterations, _, _ = jel_statistics(near, thresholds)
