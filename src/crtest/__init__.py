@@ -8,7 +8,7 @@ with tunable dependence, and a Monte Carlo rejection-rate harness.
 on first use, so ``crtest test`` never loads the harness.
 """
 
-__version__ = "0.6.2"
+__version__ = "0.7.0"
 
 import importlib
 

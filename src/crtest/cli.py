@@ -91,8 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"comma-separated sample sizes, each 3 to {BLOCK_ELEMS}")
     w.add_argument("--alphas", type=_list(float, "numbers"), default=(0.05,),
                    help="comma-separated levels (default 0.05)")
-    w.add_argument("--lambda", dest="lam", type=float, default=1.0,
-                   help="exponential baseline rate (default 1.0)")
     w.add_argument("--p1", type=float, required=True, help="cause-1 mass in [0, 0.5]")
     w.add_argument("--reps", type=int, default=2000,
                    help="replications, >= 100 (default 2000; table-scale runs use 10000)")
@@ -170,8 +168,8 @@ def _cmd_power(args: argparse.Namespace) -> str:
     from .mc import SimConfig, run, to_csv, to_json
 
     config = SimConfig(
-        # a is a placeholder: the run takes it from a_grid, cell by cell
-        params=FamilyParams(lam=args.lam, p1=args.p1, a=1.0, seed=args.seed),
+        # placeholders: the run takes a from a_grid cell by cell, and lam moves no cell
+        params=FamilyParams(lam=1.0, p1=args.p1, a=1.0, seed=args.seed),
         n_grid=args.n_grid,
         alpha_grid=args.alphas,
         a_grid=args.a_grid,

@@ -98,8 +98,8 @@ if hasattr(os, "register_at_fork"):  # absent where there is no fork
 class SimConfig(Record):
     """Grids and budget for one harness run.
 
-    ``params`` supplies the baseline rate, cause-1 mass and master seed; its
-    ``a`` is replaced by each ``a_grid`` value cell by cell.
+    ``params`` supplies p1, the master seed and the rate ``lam``, which is recorded
+    in the metadata and moves no cell; each ``a_grid`` value replaces its ``a``.
     """
 
     params: FamilyParams

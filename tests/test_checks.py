@@ -199,7 +199,6 @@ def test_grid_and_spec_values_seen_accepted_before():
     ["power", "--n-grid", "20,1099511627776", "--a-grid", "1.5", "--alphas", "0.05"],
     ["power", "--n-grid", "20", "--a-grid", "nan"],
     ["power", "--n-grid", "20", "--a-grid", "1.5", "--alphas", "inf"],
-    ["power", "--n-grid", "20", "--a-grid", "1.5", "--lambda", "inf"],
     ["power", "--n-grid", "20", "--a-grid", "1.5", "--workers", "-1"],
     ["power", "--n-grid", "20", "--a-grid", "1.5", "--reps", "4294967297"],
 ])

@@ -345,6 +345,16 @@ def test_rows_near_the_hull_edge_match_the_decimal_oracle(n):
     stat = jel_statistics(v)[0]
     for row, t in zip(v, stat):
         assert_matches_decimal(t, row)
+    # past the reach of the Newton cap, where the step only doubles lam, a
+    # row must raise rather than stop at a wrong T; each is solved alone,
+    # as a stacked solve raises for the whole stack
+    for eps in (1e-16, 1e-18, 1e-20, 1e-22, 1e-23, 1e-25, 1e-30):
+        row = np.append(-np.linspace(0.1, 1.1, n - 1), eps)
+        try:
+            stat = jel_statistics(row[None])[0]
+        except NoConvergence:
+            continue
+        assert_matches_decimal(stat[0], row)
 
 
 def test_jackknife_rows_of_tied_unbalanced_samples_match_the_decimal_oracle():

@@ -831,3 +831,26 @@ def test_interpreter_with_a_live_pool_exits_cleanly(fresh):
         ])
         proc = fresh("-c", code)
         assert (proc.returncode, proc.stderr) == (0, ""), keep
+
+
+START_METHOD_SCRIPT = """
+import multiprocessing, os, sys
+os.sched_getaffinity = lambda pid: {0, 1}
+multiprocessing.set_start_method(sys.argv[1])
+from crtest import FamilyParams, SimConfig, run
+cfg = SimConfig(params=FamilyParams(lam=1.0, p1=0.3, a=1.0, seed=2), n_grid=(20, 300),
+                alpha_grid=(0.05,), a_grid=(1.0, 1.5), reps=200)
+serial, pooled = run(cfg, workers=1), run(cfg, workers=2)
+assert pooled.metadata["workers"] == 2
+assert pooled.cells == serial.cells
+assert pooled.metadata["newton_iters_max"] == serial.metadata["newton_iters_max"]
+"""
+
+
+@pytest.mark.parametrize("method", [m for m in ("spawn", "forkserver")
+                                    if m in multiprocessing.get_all_start_methods()])
+def test_pools_started_without_fork_match_one_worker(method, fresh):
+    # such workers import crtest and numpy.random themselves instead of
+    # inheriting the caller's; forkserver is Linux's default from Python 3.14
+    proc = fresh("-c", START_METHOD_SCRIPT, method)
+    assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr

@@ -9,7 +9,7 @@ import crtest
 from crtest.data import Record
 
 
-# the public names of crtest 0.6.2
+# the public names of crtest 0.7.0
 EXPORTS = {
     "__version__", "Sample", "FamilyParams", "rng_from_seed", "sample", "true_delta",
     "DdkTestResult", "ddk_test", "CrtestError", "DegenerateSample", "DomainError",
