@@ -24,8 +24,8 @@ from pathlib import Path
 from . import __version__
 from ._checks import BLOCK_ELEMS, level
 from .errors import CrtestError
-from .ingest import IngestResult, IngestSpec, ingest
 from .jel import jel_test
+from .reader import IngestResult, IngestSpec, ingest
 
 SCHEMA_VERSION = 1  # of the ``test`` report
 

@@ -78,14 +78,14 @@ class IngestResult(Record):
     fingerprint: str
 
 
-def _column_index(col: str | int, header: list[str], row_num: int) -> int:
+def _column_index(col: str | int, header: list[str]) -> int:
     if isinstance(col, int):
         return col
     stripped = [h.strip() for h in header]
     count = stripped.count(col)
     if count != 1:
         problem = "appears more than once in" if count else "not found in"
-        raise ParseError(row_num, col, f"column {problem} header {stripped}")
+        raise ParseError(1, col, f"column {problem} header {stripped}")
     return stripped.index(col)
 
 
@@ -124,8 +124,8 @@ def ingest(spec: IngestSpec) -> IngestResult:
             # the last line this one consumed
             row_num, start = start, reader.line_num + 1
             if row_num == 1 and spec.has_header:
-                t_idx = _column_index(spec.time_column, row, 1)
-                c_idx = _column_index(spec.cause_column, row, 1)
+                t_idx = _column_index(spec.time_column, row)
+                c_idx = _column_index(spec.cause_column, row)
                 if t_idx == c_idx:
                     raise ParseError(1, spec.cause_column,
                                      f"same column as time column {spec.time_column!r}")

@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from crtest import IngestResult, NegativeTime, ParseError, Sample, UnmappedLabel
+from crtest.ddk import _rejects, zstat
 from crtest.jel import _EPS
 
 # --- frozen closed forms -------------------------------------------------
@@ -280,6 +281,55 @@ def decimal_el_statistic(d) -> float:
             q = [v / (one + lam * v) for v in x]
             lam += sum(q) / sum(t * t for t in q)
         return float(2 * sum((one + lam * v).ln() for v in x))
+
+
+# --- exact null law of ddk --------------------------------------------------
+#
+# Under independence with continuous times the causes, given n1, fall on the
+# time order as a uniformly random arrangement.  The row scores then sum to
+# 2B - n1*n2, where B counts the (cause-2 earlier, cause-1 later) pairs, so
+# ddk's z given n1 is a function of B, and B has the Mann-Whitney null law.
+
+def ddk_exact_law(n: int) -> list[np.ndarray]:
+    """The null law of B for n1 = i, n2 = n - i, as ``law[i][b]``.
+
+    The latest of i + j subjects is cause 1 with probability i/(i + j) and
+    then precedes no cause-2 subject but follows all j of them, so
+    P(i, j, b) = i/(i+j) P(i-1, j, b-j) + j/(i+j) P(i, j-1, b).  Each pass
+    builds the laws with i + j = k from those with i + j = k - 1.
+    """
+    diag = [np.ones(1)]
+    for k in range(1, n + 1):
+        nxt = []
+        for i in range(k + 1):
+            j = k - i
+            law = np.zeros(i * j + 1)
+            if i:
+                law[j:] += i / k * diag[i - 1]
+            if j:
+                law[:i * (j - 1) + 1] += j / k * diag[i]
+            nxt.append(law)
+        diag = nxt
+    return diag
+
+
+def ddk_exact_size(law: list[np.ndarray], p1: float, alpha: float) -> float:
+    """Exact two-sided rejection rate of ddk under H0, given both causes.
+
+    ``law`` is ``ddk_exact_law(n)``.  n1 is Binomial(n, p1), conditioned on
+    0 < n1 < n as the harness excludes one-cause samples; each B is decided
+    by the package's own ``zstat`` and ``_rejects``, with delta_hat =
+    (2B - n1*n2) / (n(n - 1)) rounded once, as ``delta_hat`` rounds it.
+    """
+    n = len(law) - 1
+    size = used = 0.0
+    for i in range(1, n):
+        weight = math.comb(n, i) * p1**i * (1.0 - p1) ** (n - i)
+        b = np.arange(i * (n - i) + 1)
+        z = zstat((2 * b - i * (n - i)) / (n * (n - 1)), np.full(b.size, i / n), n)
+        size += weight * law[i][_rejects(z, (alpha,), True)[:, 0]].sum()
+        used += weight
+    return float(size / used)
 
 
 # --- row-loop CSV reader -----------------------------------------------------

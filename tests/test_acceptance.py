@@ -33,7 +33,7 @@ from crtest.ddk import _rejects, zstat
 from crtest.jel import jel_statistics
 from crtest.ustat import jackknife_rows
 
-from oracles import CLOSED_FORM_LAMBDA, family_f1, naive_jackknife
+from oracles import CLOSED_FORM_LAMBDA, ddk_exact_law, ddk_exact_size, family_f1, naive_jackknife
 
 RESULTS: list[str] = []
 
@@ -217,6 +217,44 @@ def test_harness_matches_exact_null_law_at_n10(p1):
         all(abs(v) <= 4.0 for v in z.values()),
         "; ".join(f"{k} {observed[k][0]:.4f} vs exact {exact[k]:.4f} ({z[k]:+.1f} SE)" for k in z)
         + f" (within 4 SE, {reps} reps)",
+    )
+
+
+def test_ddk_exact_law_matches_enumeration():
+    # every arrangement of i cause-1 subjects among n time ranks, with B the
+    # (cause-2 earlier, cause-1 later) pairs; at n = 10 the sizes are those
+    # of the sequence enumeration above
+    n = 8
+    law = ddk_exact_law(n)
+    for i in range(n + 1):
+        counts = np.zeros(i * (n - i) + 1)
+        for ranks in itertools.combinations(range(n), i):
+            counts[sum(r - k for k, r in enumerate(ranks))] += 1
+        np.testing.assert_allclose(law[i], counts / math.comb(n, i), rtol=0, atol=1e-15)
+    law10 = ddk_exact_law(10)
+    for p1 in sorted(_EXACT_N10):
+        assert math.isclose(ddk_exact_size(law10, p1, 0.05), _exact_null_law(10, p1, 0.05)["ddk"],
+                            rel_tol=1e-12)
+
+
+def test_harness_ddk_matches_exact_null_law():
+    reps, n_grid, alphas = 4000, (50, 200), (0.01, 0.05)
+    laws = {n: ddk_exact_law(n) for n in n_grid}
+    z = {}
+    for p1 in (0.1, 0.5):
+        table = run(SimConfig(params=FamilyParams(lam=1.0, p1=p1, a=1.0, seed=2024),
+                              n_grid=n_grid, alpha_grid=alphas, a_grid=(1.0,), reps=reps,
+                              methods=("ddk",)), workers=1)
+        for n, alpha in itertools.product(n_grid, alphas):
+            exact = ddk_exact_size(laws[n], p1, alpha)
+            cell = table.get("ddk", 1.0, n, alpha)
+            z[p1, n, alpha] = (cell.rate - exact) / math.sqrt(exact * (1.0 - exact) / cell.used)
+    worst = max(z, key=lambda k: abs(z[k]))
+    _record(
+        "harness ddk matches its exact null law at n=50 and 200",
+        all(abs(v) <= 4.0 for v in z.values()),
+        f"{len(z)} cells (p1 0.1/0.5, alpha 0.01/0.05), worst {z[worst]:+.2f} SE at "
+        f"p1={worst[0]}, n={worst[1]}, alpha={worst[2]} (within 4 SE, {reps} reps)",
     )
 
 

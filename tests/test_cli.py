@@ -188,7 +188,7 @@ def test_help_exits_0(capsys):
 
 def test_version(capsys):
     assert cli_main(["--version"]) == 0
-    assert "crtest 0.7.0" in capsys.readouterr().out
+    assert "crtest 0.8.0" in capsys.readouterr().out
 
 
 def test_simulate_csv(capsys):

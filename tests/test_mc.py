@@ -137,6 +137,21 @@ def test_harness_table_is_pinned():
     assert digest == "e859e014e9e5061bfb125274cb71c5a238ddc759e048d6817158ecab57312b0c"
 
 
+@pytest.mark.parametrize("p1, n_grid, a_grid, expected", [
+    (0.5, (20, 50, 100), (1.0, 1.5), "21dee29be6fcbb50"),  # the power_grid workload
+    (0.1, (20, 50, 200), (1.0, 2.0), "31c7b88682fb4b0a"),  # the power_pool workload
+], ids=["power_grid", "power_pool"])
+def test_benchmark_grids_give_their_pinned_decisions(p1, n_grid, a_grid, expected):
+    # the benchmark's result checksum: every cell's rejections and exclusions,
+    # digested as bench/check.py:power_checksum digests them
+    cfg = SimConfig(params=FamilyParams(lam=1.0, p1=p1, a=a_grid[0], seed=1), n_grid=n_grid,
+                    alpha_grid=(0.01, 0.05), a_grid=a_grid, reps=250, methods=("jel", "ddk"))
+    cells = run(cfg, workers=1).cells
+    rows = sorted([*key, c.rejections, c.excluded] for key, c in cells.items())
+    digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()[:16]
+    assert digest == expected
+
+
 def test_workers_do_not_change_results(monkeypatch):
     # two CPUs available, so the pool runs with two workers on any runner
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)

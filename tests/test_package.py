@@ -9,7 +9,7 @@ import crtest
 from crtest.data import Record
 
 
-# the public names of crtest 0.7.0
+# the public names of crtest 0.8.0
 EXPORTS = {
     "__version__", "Sample", "FamilyParams", "rng_from_seed", "sample", "true_delta",
     "DdkTestResult", "ddk_test", "CrtestError", "DegenerateSample", "DomainError",
@@ -26,24 +26,32 @@ def test_all_lists_each_public_name_once():
     assert set(crtest.__all__) == EXPORTS
 
 
-def test_import_loads_ingest_and_its_imports_only(fresh):
+def test_import_runs_the_package_alone(fresh):
     proc = fresh("-c", "\n".join([
         "import sys",
         "import crtest",
         "loaded = {m for m in sys.modules if m.split('.')[0] == 'crtest'}",
-        "expected = {'crtest', 'crtest._checks', 'crtest.data', 'crtest.errors', 'crtest.ingest'}",
-        "assert loaded == expected, sorted(loaded)",
+        "assert loaded == {'crtest'}, sorted(loaded)",
+        "assert 'numpy' not in sys.modules",
     ]))
     assert proc.returncode == 0, proc.stderr
 
 
-def test_ingest_stays_the_function_after_its_module_is_imported(fresh):
+def test_no_submodule_import_hides_a_public_name(fresh):
+    # importing crtest.<module> binds the package attribute <module>, so no
+    # module may share a name with a public one
     proc = fresh("-c", "\n".join([
-        "import crtest.ingest",
+        "import importlib, sys",
+        "from pathlib import Path",
         "import crtest",
-        "from crtest import ingest",
-        "assert crtest.ingest is ingest, ingest",
-        "assert callable(ingest) and ingest.__module__ == 'crtest.ingest', ingest",
+        "src = Path(crtest.__file__).parent",
+        "stems = sorted(p.stem for p in src.glob('*.py') if p.stem not in ('__init__', '__main__'))",
+        "for stem in stems:",
+        "    importlib.import_module(f'crtest.{stem}')",
+        "for name in crtest.__all__[1:]:",
+        "    home = sys.modules[f'crtest.{crtest._LAZY[name]}']",
+        "    assert getattr(crtest, name) is getattr(home, name), name",
+        "assert isinstance(crtest.__version__, str)",
     ]))
     assert proc.returncode == 0, proc.stderr
 

@@ -2,7 +2,8 @@
 
 Each ```python block runs as written in a new interpreter, and the size-map
 block must print exactly the table README shows under it, so a result that
-moves breaks this test instead of leaving the README stale.
+moves breaks this test instead of leaving the README stale.  The exact
+``ddk`` size table is recomputed from its oracle the same way.
 """
 
 import re
@@ -13,9 +14,12 @@ import pytest
 
 from crtest.cli import build_parser
 
+from oracles import ddk_exact_law, ddk_exact_size
+
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 SECTIONS = dict(re.findall(r"^## (.+?)\n(.*?)(?=^## |\Z)", README, re.M | re.S))
 SIZE_MAP = SECTIONS["`jel` size map (report only)"]
+DDK_EXACT = SECTIONS["Exact `ddk` size"]
 
 
 def blocks(text: str, lang: str) -> list[str]:
@@ -45,6 +49,16 @@ def test_python_block_runs(code, fresh):
     if code == SIZE_MAP_BLOCK:
         # the block prints the rows of the table README shows under it
         assert normalised(proc.stdout.splitlines()) == normalised(SIZE_MAP_ROWS)
+
+
+def test_exact_ddk_table_is_its_oracle():
+    rows = [line for line in DDK_EXACT.splitlines() if line.startswith("|")][2:]
+    expected = []
+    for n in (10, 20, 50, 100, 200):
+        law = ddk_exact_law(n)
+        sizes = " | ".join(f"{ddk_exact_size(law, p1, 0.05):.4f}" for p1 in (0.1, 0.3, 0.5))
+        expected.append(f"| {n} | {sizes} |")
+    assert normalised(rows) == normalised(expected)
 
 
 def cli_commands() -> list[str]:
