@@ -19,6 +19,7 @@ J = 1 with conditional probability f1(T)/f(T) = p1 * a * F(T)**(a - 1).
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 
@@ -93,12 +94,21 @@ def _word_count(x: int) -> int:
     return max(1, -(-int(x).bit_length() // 32))
 
 
+@functools.lru_cache(maxsize=64)
+def _hash_constants(init: int, mult: int, steps: range) -> np.ndarray:
+    """The constants ``init * mult**k`` for k in ``steps`` and one past it,
+    as a read-only (len(steps) + 1, 1) uint64 column."""
+    const = np.array([init * pow(mult, k, 1 << 32) & _MASK32
+                      for k in range(steps.start, steps.stop + 1)], dtype=np.uint64)[:, None]
+    const.flags.writeable = False
+    return const
+
+
 def _hash_rows(words: np.ndarray, init: int, mult: int, steps: range) -> np.ndarray:
     """``SeedSequence``'s hash of the uint64 array ``words``, its row i (or
     its one row, broadcast) taken as hash step ``steps[i]`` of the constant
     sequence ``init * mult**k``."""
-    const = np.array([init * pow(mult, k, 1 << 32) & _MASK32
-                      for k in range(steps.start, steps.stop + 1)], dtype=np.uint64)[:, None]
+    const = _hash_constants(init, mult, steps)
     value = (words ^ const[:-1]) * const[1:] & _MASK32
     return value ^ value >> 16
 
@@ -132,8 +142,11 @@ def uniform_rows(seed: int, key: tuple[int, ...], rep_lo: int, rep_hi: int, widt
 
     out = np.empty((rep_hi - rep_lo, width))
     PCG64, Generator = np.random.PCG64, np.random.Generator
+    # PCG64 reads its seed words once, when it is built
+    seq = _Words(None)
     for row, w in zip(out, words):
-        Generator(PCG64(_Words(w))).random(out=row)
+        seq.words = w
+        Generator(PCG64(seq)).random(out=row)
     return out
 
 
@@ -145,10 +158,15 @@ def draw(params: FamilyParams, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     n = u.shape[-1] // 2
     ut, uc = u[..., :n], u[..., n:]
-    times = -np.log1p(-ut) / params.lam
+    # -log1p(-ut) / lam, exactly: negating either operand of a division
+    # negates its rounded quotient
+    times = np.negative(ut)
+    np.log1p(times, out=times)
+    times /= -params.lam
     # F(times) == ut exactly, so the cause draw can condition on ut directly
-    p_cause1 = params.p1 * params.a * ut ** (params.a - 1.0)
-    causes = np.where(uc < p_cause1, 1, 2)
+    p_cause1 = ut ** (params.a - 1.0)
+    p_cause1 *= params.p1 * params.a
+    causes = 2 - (uc < p_cause1)
     return times, causes
 
 

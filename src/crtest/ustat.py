@@ -20,7 +20,10 @@ and the single-sample functions are their R = 1 case, so every caller shares
 one pair-score routine with bit-identical results.  A subject's score
 depends only on its tie group (the subjects of its row with an equal time)
 and its own cause, so the order a sort leaves within a tie group cannot
-change any result, and an unstable sort is as exact as a stable one.
+change any result, and an unstable sort is as exact as a stable one.  A
+stack without a tied time skips the tie-group pass: every group is then one
+subject, scored straight from the cause-1 counts around its sorted
+position, with the same integers and so the same bits.
 """
 
 from __future__ import annotations
@@ -65,33 +68,44 @@ def row_scores(times: np.ndarray, causes: np.ndarray) -> np.ndarray:
     np.not_equal(ts[1:], ts[:-1], out=starts[1:m])
     del ts
     starts[::n] = True
-    bounds = np.flatnonzero(starts)  # each group is [bounds[j], bounds[j + 1])
-    del starts
     is1 = np.reshape(causes, m)[order] == 1
     cum1 = np.zeros(m + 1, dtype=np.int64)  # cause-1 among the first k
     np.cumsum(is1, out=cum1[1:])
-    sizes = np.diff(bounds)
-    # per group: cum1 at its first + end position, and first + end itself
-    edges1 = cum1[bounds]
-    edges1[:-1] += edges1[1:]
-    edges1 = np.repeat(edges1[:-1], sizes)
-    bounds[:-1] += bounds[1:]
-    edges = np.repeat(bounds[:-1], sizes)
-    del bounds, sizes
-    # 2 * score, with counts taken within the row [row0, row0 + n):
+    # 2 * score of a subject in the tie group [first, end) of the row
+    # [row0, row0 + n), with counts taken within the row:
     #   cause 2: (cause-1 later) - (cause-1 earlier)
     #            = cum1[row0] + cum1[row0 + n] - cum1[first] - cum1[end]
     #   cause 1: (cause-2 earlier) - (cause-2 later)
     #            = the cause-2 expression + first + end - (2 row0 + n)
     rows1 = cum1[::n]
     score = np.repeat(rows1[:-1] + rows1[1:], n)
-    del cum1, rows1
-    score -= edges1
-    del edges1
-    edges -= np.repeat(np.arange(n, 2 * m, 2 * n), n)
-    edges *= is1
-    score += edges
-    del edges, is1
+    del rows1
+    if starts.all():
+        # no tied time: every group is one subject k, so first = k, end = k + 1
+        # and first + end - (2 row0 + n) = 2j + 1 - n at row position j
+        del starts
+        score -= cum1[:-1]
+        score -= cum1[1:]
+        del cum1
+        edges = is1.reshape(r, n) * np.arange(1 - n, n, 2)
+    else:
+        bounds = np.flatnonzero(starts)  # each group is [bounds[j], bounds[j + 1])
+        del starts
+        sizes = np.diff(bounds)
+        # per group: cum1 at its first + end position, and first + end itself
+        edges1 = cum1[bounds]
+        del cum1
+        edges1[:-1] += edges1[1:]
+        score -= np.repeat(edges1[:-1], sizes)
+        del edges1
+        bounds[:-1] += bounds[1:]
+        edges = np.repeat(bounds[:-1], sizes)
+        del bounds, sizes
+        edges -= np.repeat(np.arange(n, 2 * m, 2 * n), n)
+        edges *= is1
+    del is1
+    score += edges.reshape(m)
+    del edges
     out = np.empty(m)
     out[order] = 0.5 * score
     return out.reshape(np.shape(times))

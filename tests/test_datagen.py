@@ -95,6 +95,19 @@ def test_uniform_rows_equal_rng_from_seed(seed):
         uniform_rows(seed, (0, 0), 2**32 - 1, 2**32 + 1, 6)
 
 
+def test_uniform_rows_keep_their_streams_when_key_sizes_alternate():
+    # the hash constants are cached by step range, which the word counts of
+    # the seed and the key set; calls that alternate one-word and two-word
+    # keys, and short and long seeds, in one process must each keep their
+    # own stream
+    calls = [(7, (0, 0)), (7, (2**32 + 5, 3)), (2**200 + 9, (1, 2)), (7, (1, 2**40)),
+             (2**200 + 9, (2**33, 2**33)), (7, (0, 0))]
+    for seed, key in calls * 2:
+        u = uniform_rows(seed, key, 3, 9, 8)
+        for row, rep in zip(u, range(3, 9)):
+            assert row.tobytes() == rng_from_seed(seed, (*key, rep)).random(8).tobytes()
+
+
 def test_seed_words_refuse_other_requests():
     # PCG64 seeds itself with generate_state(4, uint64); any other request
     # means numpy changed how it seeds, and must not quietly re-stream
@@ -140,10 +153,21 @@ def test_mean_time_matches_rate():
 def cause_rule(params, ut):
     """The family's cause-1 probability given F(T) = ut, p1*a*ut**(a - 1),
     and ``draw``'s causes with the cause uniform one ulp below it and one
-    ulp above it."""
+    ulp above it.
+
+    At those uniforms and at the probability itself, the causes must equal
+    ``np.where(uc < p, 1, 2)`` in value and in dtype, whichever casting
+    rules the installed numpy applies.
+    """
     p = params.p1 * params.a * ut ** (params.a - 1.0)
-    below = draw(params, np.concatenate((ut, np.nextafter(p, 0.0)))[None, :])[1][0]
-    above = draw(params, np.concatenate((ut, np.nextafter(p, 1.0)))[None, :])[1][0]
+    causes = []
+    for uc in (np.nextafter(p, 0.0), p, np.nextafter(p, 1.0)):
+        got = draw(params, np.concatenate((ut, uc))[None, :])[1][0]
+        expected = np.where(uc < p, 1, 2)
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected)
+        causes.append(got)
+    below, _, above = causes
     return p, below, above
 
 

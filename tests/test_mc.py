@@ -763,8 +763,12 @@ def test_forked_child_starts_its_own_pool(fresh):
 
 # Each worker's share sleeps for a minute; SIGINT reaches the parent alone,
 # as from `kill -INT` or a notebook's interrupt, not a terminal's Ctrl-C.
+# The script installs Python's own SIGINT handler first: a background job of
+# a non-interactive shell inherits SIGINT ignored, and there raise_signal
+# would do nothing while the run waits out its sleeping workers.
 INTERRUPT_SCRIPT = """
 import os, signal, time
+signal.signal(signal.SIGINT, signal.default_int_handler)
 os.sched_getaffinity = lambda pid: {0, 1}
 import crtest.mc as mc
 from crtest import FamilyParams, SimConfig, run

@@ -20,6 +20,7 @@ from crtest.ustat import jackknife_rows, row_scores
 
 from oracles import (
     dense_row_sums,
+    exact_jackknife,
     kernel_raw,
     kernel_sym,
     naive_delta_hat,
@@ -146,6 +147,46 @@ def test_row_scores_ties_across_row_boundaries_bitwise():
     # a whole stack of one constant time scores +0.0 everywhere
     flat = row_scores(np.full((5, 7), 1.5), rng.integers(1, 3, size=(5, 7)))
     assert flat.tobytes() == np.zeros((5, 7)).tobytes()
+
+
+def one_tied_row(rng, n, row, tie):
+    """A (6, n) stack of distinct positive times but for the two subjects of
+    ``row`` given the equal times ``tie``, with causes 1 and 2 so the tie
+    moves their scores; with n = 1 there is no pair to tie, and ``row``
+    repeats the time of the row before it instead."""
+    times = rng.exponential(size=(6, n))
+    causes = rng.integers(1, 3, size=(6, n))
+    if n == 1:
+        times[row] = times[row - 1]
+    else:
+        times[row, :2] = tie
+        causes[row, :2] = (1, 2)
+    return times, causes
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 9, 40])
+@pytest.mark.parametrize("row, tie", [(5, (1.25, 1.25)), (0, (-0.0, 0.0))],
+                         ids=["last row", "signed zeros in the first row"])
+def test_one_tied_row_among_tie_free_rows_bitwise(n, row, tie):
+    # a stack with no tied time takes the tie-free pass of row_scores, and one
+    # tied time anywhere sends it down the tie-group pass; a selection that
+    # looked at part of the stack, or at the bits of the times rather than
+    # their values (-0.0 == +0.0), would score the tied row as untied
+    rng = np.random.default_rng(67 + n)
+    for trial in range(5):
+        times, causes = one_tied_row(rng, n, row, tie)
+        stacked = row_scores(times, causes)
+        for i in range(6):
+            expected = dense_row_sums(times[i], causes[i])
+            assert row_scores(times[i], causes[i]).tobytes() == stacked[i].tobytes()
+            assert expected.tobytes() == stacked[i].tobytes()
+        if n < 3:
+            continue
+        d_hat, pseudo = jackknife_rows(times, causes)
+        for i in range(6):
+            d_exact, pseudo_exact = exact_jackknife(times[i], causes[i])
+            assert d_hat[i] == float(d_exact)
+            assert pseudo[i].tobytes() == np.array([float(v) for v in pseudo_exact]).tobytes()
 
 
 def test_row_scores_are_permutation_equivariant_bitwise():
