@@ -15,6 +15,9 @@ both ``a`` and ``p1``.
 Sampling uses the exact two-stage factorization: draw T by inverse
 transform (so F(T) equals the underlying uniform exactly), then draw
 J = 1 with conditional probability f1(T)/f(T) = p1 * a * F(T)**(a - 1).
+Both tests read only the order of the times, which F(T) shares, so the
+harness scores the uniforms F(T) and never meets ``lam``: :func:`draw`
+makes causes, and :func:`sample` alone makes times.
 """
 
 from __future__ import annotations
@@ -31,8 +34,6 @@ from .data import Record, Sample
 
 GENERATOR = "numpy-pcg64"
 SEED_SCHEME = "SeedSequence(entropy=seed, spawn_key=(a_index, n_index, replication))"
-# the longest time at lam = 1: -log1p(-u) at the largest uniform, 1 - 2**-53
-_LONGEST = 53.0 * math.log(2.0)
 
 
 class FamilyParams(Record):
@@ -48,7 +49,7 @@ class FamilyParams(Record):
         # a time is -log1p(-u) / lam for a uniform u in {0} or [2**-53, 1 - 2**-53],
         # so from 2**-53 / lam to 53 ln 2 / lam: both must be normal floats,
         # or times overflow to inf or lose their order as subnormals
-        if not (math.isfinite(_LONGEST / lam) and 2.0**-53 / lam >= sys.float_info.min):
+        if not (math.isfinite(53.0 * math.log(2.0) / lam) and 2.0**-53 / lam >= sys.float_info.min):
             raise ValueError(f"lam must lie in about [2.04e-307, 4.99e291], where every time "
                              f"is a finite normal float, got {self.lam!r}")
         # plain Python numbers keep records JSON-ready
@@ -150,38 +151,35 @@ def uniform_rows(seed: int, key: tuple[int, ...], rep_lo: int, rep_hi: int, widt
     return out
 
 
-def draw(params: FamilyParams, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Times and causes from uniforms ``u`` of shape (R, 2n), one row per sample.
+def draw(p1: float, a: float, u: np.ndarray) -> np.ndarray:
+    """Causes from uniforms ``u`` of shape (R, 2n) or (2n,), a row per sample.
 
-    The first n uniforms of a row give its times by inverse transform, the
-    last n its causes; returns two (R, n) arrays.
+    The first n uniforms of a row are its time uniforms F(T), the last n
+    its cause uniforms; returns the (R, n) causes.
     """
     n = u.shape[-1] // 2
-    ut, uc = u[..., :n], u[..., n:]
-    # -log1p(-ut) / lam, exactly: negating either operand of a division
-    # negates its rounded quotient
-    times = np.negative(ut)
-    np.log1p(times, out=times)
-    times /= -params.lam
-    # F(times) == ut exactly, so the cause draw can condition on ut directly
-    p_cause1 = ut ** (params.a - 1.0)
-    p_cause1 *= params.p1 * params.a
-    causes = 2 - (uc < p_cause1)
-    return times, causes
+    p_cause1 = u[..., :n] ** (a - 1.0)
+    p_cause1 *= p1 * a
+    return 2 - (u[..., n:] < p_cause1)
 
 
 def sample(params: FamilyParams, n: int, rng: np.random.Generator | None = None) -> Sample:
     """Draw ``n`` observations; byte-for-byte reproducible from the seed.
 
     An explicit ``rng`` overrides the one derived from ``params.seed``.  One
-    ``rng.random(2 * n)`` call feeds :func:`draw`, which is how the
-    simulation harness draws each replication of a block.
+    ``rng.random(2 * n)`` call gives the times and, through :func:`draw`, the
+    causes, as the simulation harness draws each replication of a block.
     """
     n = integer(n, "n", 1)
     if rng is None:
         rng = rng_from_seed(params.seed)
-    times, causes = draw(params, rng.random(2 * n)[None, :])
-    return Sample.from_arrays(times[0], causes[0])
+    u = rng.random(2 * n)
+    # -log1p(-u) / lam, exactly: negating either operand of a division
+    # negates its rounded quotient
+    times = np.negative(u[:n])
+    np.log1p(times, out=times)
+    times /= -params.lam
+    return Sample.from_arrays(times, draw(params.p1, params.a, u))
 
 
 def true_delta(params: FamilyParams) -> float:

@@ -10,11 +10,12 @@ count; reduction is over integer rejection counts only.
 Each task works on one stack: ``datagen.uniform_rows`` seeds all of the
 task's replications at once and fills one row of an R-by-2n array per
 replication, with the uniforms that replication's own spawn-keyed
-generator would draw; the task's samples are then scored, jackknifed and
-tested together (``ustat.jackknife_rows``, ``jel.jel_statistics``,
-``ddk.zstat``).  A task holds at most ``_BLOCK_ELEMS`` values, so memory
-does not grow with the replication count.  Every row gives the same
-decisions as the single-sample API.
+generator would draw; the task's samples are then scored on their time
+uniforms, which order them as their times do, jackknifed and tested
+together (``ustat.jackknife_rows``, ``jel.jel_statistics``, ``ddk.zstat``),
+so the rate ``lam`` never reaches a task.  A task holds at most
+``_BLOCK_ELEMS`` values, so memory does not grow with the replication
+count.  Every row gives the same decisions as the single-sample API.
 
 Replications where a method's statistic is undefined (every pseudo-value
 zero for the empirical-likelihood test, a single observed cause for the
@@ -99,7 +100,7 @@ class SimConfig(Record):
     """Grids and budget for one harness run.
 
     ``params`` supplies p1, the master seed and the rate ``lam``, which is recorded
-    in the metadata and moves no cell; each ``a_grid`` value replaces its ``a``.
+    in the metadata and never reaches a task; each ``a_grid`` value replaces its ``a``.
     """
 
     params: FamilyParams
@@ -177,15 +178,15 @@ def _run_block(config: SimConfig, a_idx: int, n_idx: int, rep_lo: int, rep_hi: i
     Row i holds the ``random(2n)`` draw of replication ``rep_lo + i``'s
     spawn-keyed generator, computed for the whole task at once by
     :func:`~crtest.datagen.uniform_rows`, so a row is the sample
-    ``sample()`` would give; the rows are jackknifed and tested as one
-    stack.  Returns one integer row per requested method, in
-    ``_METHOD_ORDER``: rejections per alpha, then excluded, hull violations
-    and the most Newton steps to a decision.
+    ``sample()`` would give, its time uniforms in place of its times; the
+    rows are jackknifed and tested as one stack.  Returns one integer row
+    per requested method, in ``_METHOD_ORDER``: rejections per alpha, then
+    excluded, hull violations and the most Newton steps to a decision.
     """
     a, n = config.a_grid[a_idx], config.n_grid[n_idx]
-    params = FamilyParams(lam=config.params.lam, p1=config.params.p1, a=a, seed=config.params.seed)
-    times, causes = draw(params, uniform_rows(params.seed, (a_idx, n_idx), rep_lo, rep_hi, 2 * n))
-    d_hat, pseudo = jackknife_rows(times, causes)
+    u = uniform_rows(config.params.seed, (a_idx, n_idx), rep_lo, rep_hi, 2 * n)
+    causes = draw(config.params.p1, a, u)
+    d_hat, pseudo = jackknife_rows(u[:, :n], causes)
     tallies = []
     if "jel" in config.methods:
         thresholds = [chisq1_quantile(1.0 - al) for al in config.alpha_grid]

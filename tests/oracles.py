@@ -14,12 +14,14 @@ import math
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
+from statistics import NormalDist
 
 import numpy as np
 
-from crtest import IngestResult, NegativeTime, ParseError, Sample, UnmappedLabel
+from crtest import IngestResult, NegativeTime, ParseError, Sample, UnmappedLabel, chisq1_quantile
 from crtest.ddk import _rejects, zstat
-from crtest.jel import _EPS
+from crtest.jel import _EPS, jel_statistics
+from crtest.ustat import jackknife_rows
 
 # --- frozen closed forms -------------------------------------------------
 #
@@ -330,6 +332,103 @@ def ddk_exact_size(law: list[np.ndarray], p1: float, alpha: float) -> float:
         size += weight * law[i][_rejects(z, (alpha,), True)[:, 0]].sum()
         used += weight
     return float(size / used)
+
+
+# --- exact null law of jel and ddk, by enumeration ---------------------------
+#
+# At a = 1 the time-ordered cause sequence is i.i.d. Bernoulli(p1), and both
+# statistics read only the order of the times, so each figure of their null
+# law is a weighted sum over the 2^n cause sequences on the ranks 0..n-1: the
+# order that the harness's time uniforms, like any continuous times, give.
+
+_CODES_PER_CHUNK = 1 << 16
+
+
+def exact_null_counts(n: int, alpha: float) -> dict[str, np.ndarray]:
+    """Per n1 = 0..n, how many of the C(n, n1) cause sequences ``jel``
+    rejects at ``alpha`` (key ``jel``), puts outside its pseudo-value hull
+    (``hull``), and two-sided ``ddk`` rejects (``ddk``).
+
+    Sequence k is the n bits of the code k, cause 1 for a 0 bit; the codes
+    are scored 2^16 at a time, so memory does not grow with 2^n.
+    """
+    q = chisq1_quantile(1.0 - alpha)
+    ranks = np.arange(n)
+    counts = {key: np.zeros(n + 1, dtype=np.int64) for key in ("jel", "hull", "ddk")}
+    for lo in range(0, 1 << n, _CODES_PER_CHUNK):
+        codes = np.arange(lo, min(lo + _CODES_PER_CHUNK, 1 << n))
+        causes = 1 + (codes[:, None] >> ranks & 1)
+        n1 = (causes == 1).sum(axis=1)
+        d_hat, pseudo = jackknife_rows(np.broadcast_to(ranks.astype(float), causes.shape), causes)
+        stat, degenerate, _, _, _ = jel_statistics(pseudo, [q])
+        observed = (n1 > 0) & (n1 < n)
+        # both tests exclude exactly the one-cause sequences
+        assert np.array_equal(degenerate, ~observed)
+        ddk = np.zeros(codes.size, dtype=bool)
+        ddk[observed] = _rejects(zstat(d_hat[observed], n1[observed] / n, n), (alpha,), True)[:, 0]
+        for key, hit in (("jel", observed & (stat > q)), ("hull", np.isinf(stat)), ("ddk", ddk)):
+            counts[key] += np.bincount(n1[hit], minlength=n + 1)
+    return counts
+
+
+def exact_null_law(counts: dict[str, np.ndarray], p1: float) -> dict[str, float]:
+    """Exact size of both tests, hull share and exclusion share at a = 1.
+
+    ``counts`` is ``exact_null_counts(n, alpha)``.  A sequence with n1
+    cause-1 subjects has probability p1^n1 (1 - p1)^(n - n1); the shares are
+    of the samples with both causes, as the harness excludes the others.
+    """
+    n = counts["jel"].size - 1
+    n1 = np.arange(n + 1)
+    weight = p1**n1 * (1.0 - p1) ** (n - n1)
+    used = float(sum(math.comb(n, i) * weight[i] for i in range(1, n)))
+    law = {key: float(weight @ c) / used for key, c in counts.items()}
+    return {**law, "excluded": 1.0 - used}
+
+
+# --- asymptotic power ---------------------------------------------------------
+#
+# sqrt(n)(delta_hat - delta) -> N(0, sigma_a^2) with sigma_a^2 = 4 Var g, where
+# g is the projection of the pair kernel (Hoeffding 1948).  In x = F(t),
+# uniform on [0, 1], a cause-1 subject at x has g = x - p1 x^a - (1 - p1)/2, a
+# cause-2 subject g = p1/2 - p1 x^a, and cause 1 has conditional probability
+# f1 = p1 a x^(a-1), so E g^2 is a sum of monomial integrals.
+
+def _integral(*factors) -> float:
+    """The integral over [0, 1] of a product of sums of monomials, each
+    factor a list of (power, coefficient) terms."""
+    terms = [(0.0, 1.0)]
+    for factor in factors:
+        terms = [(e + e2, c * c2) for e, c in terms for e2, c2 in factor]
+    return sum(c / (e + 1.0) for e, c in terms)
+
+
+def projection_variance(p1: float, a: float) -> float:
+    """sigma_a^2 = 4 (E g^2 - delta^2) in closed form; p1 (1 - p1) / 3 at a = 1."""
+    f1 = [(a - 1.0, p1 * a)]
+    g1 = [(1.0, 1.0), (a, -p1), (0.0, -(1.0 - p1) / 2.0)]
+    g2 = [(0.0, p1 / 2.0), (a, -p1)]
+    second = _integral(f1, g1, g1) + _integral(g2, g2) - _integral(f1, g2, g2)
+    return 4.0 * (second - closed_form_delta(p1, a) ** 2)
+
+
+def asymptotic_power(p1: float, a: float, n: int, alpha: float, method: str) -> float:
+    """Large-n rejection rate of two-sided ``jel`` or ``ddk`` at level ``alpha``.
+
+    sqrt(n) delta_hat is about N(sqrt(n) delta, sigma_a^2).  ``jel``
+    standardises by the jackknife variance, which tends to sigma_a^2, and
+    ``ddk`` by the null variance sigma_0^2 = p1 (1 - p1) / 3.
+    """
+    z = NormalDist().inv_cdf(1.0 - alpha / 2.0)
+    cdf = NormalDist().cdf
+    shift = math.sqrt(n) * closed_form_delta(p1, a)
+    sigma = math.sqrt(projection_variance(p1, a))
+    if method == "jel":
+        return cdf(shift / sigma - z) + cdf(-shift / sigma - z)
+    if method == "ddk":
+        sigma0 = math.sqrt(p1 * (1.0 - p1) / 3.0)
+        return cdf((shift - z * sigma0) / sigma) + cdf((-shift - z * sigma0) / sigma)
+    raise ValueError(f"method must be jel or ddk, got {method!r}")
 
 
 # --- row-loop CSV reader -----------------------------------------------------

@@ -29,11 +29,18 @@ from crtest import (
     run,
     sample,
 )
-from crtest.ddk import _rejects, zstat
-from crtest.jel import jel_statistics
-from crtest.ustat import jackknife_rows
-
-from oracles import CLOSED_FORM_LAMBDA, ddk_exact_law, ddk_exact_size, family_f1, naive_jackknife
+from oracles import (
+    CLOSED_FORM_LAMBDA,
+    asymptotic_power,
+    closed_form_delta,
+    ddk_exact_law,
+    ddk_exact_size,
+    exact_null_counts,
+    exact_null_law,
+    family_f1,
+    naive_jackknife,
+    projection_variance,
+)
 
 RESULTS: list[str] = []
 
@@ -155,61 +162,39 @@ def test_null_rejection_rates_at_desk_scale():
     )
 
 
-def _exact_null_law(n: int, p1: float, alpha: float) -> dict[str, float]:
-    """Exact size, hull share and exclusion share of both tests at a = 1.
-
-    Under independence the time-ordered cause sequence is i.i.d.
-    Bernoulli(p1) and both statistics are rank-based, so each figure is a
-    weighted sum over the 2^n sequences on times 0..n-1.
-    """
-    causes = np.array(list(itertools.product((1, 2), repeat=n)))
-    times = np.broadcast_to(np.arange(n, dtype=float), causes.shape)
-    n1 = (causes == 1).sum(axis=1)
-    weight = p1**n1 * (1.0 - p1) ** (n - n1)
-    d_hat, pseudo = jackknife_rows(times, causes)
-    q = chisq1_quantile(1.0 - alpha)
-    stat, degenerate, _, _, _ = jel_statistics(pseudo, [q])
-    observed = (n1 > 0) & (n1 < n)
-    # both tests exclude exactly the one-cause sequences
-    assert np.array_equal(degenerate, ~observed)
-    ddk = _rejects(zstat(d_hat[observed], n1[observed] / n, n), (alpha,), True)[:, 0]
-    used = weight[observed].sum()
-    return {
-        "jel": weight[observed & (stat > q)].sum() / used,
-        "hull": weight[np.isinf(stat)].sum() / used,
-        "excluded": 1.0 - used,
-        "ddk": weight[observed][ddk].sum() / used,
-    }
-
-
 _EXACT_N10 = {
     0.1: {"jel": 0.1675, "hull": 0.1339, "excluded": 0.3487, "ddk": 0.0389},
     0.5: {"jel": 0.0861, "hull": 0.0196, "excluded": 0.0020, "ddk": 0.1057},
 }
 
 
-@pytest.mark.parametrize("p1", sorted(_EXACT_N10))
-def test_harness_matches_exact_null_law_at_n10(p1):
-    exact = _exact_null_law(10, p1, 0.05)
-    assert {k: round(v, 4) for k, v in exact.items()} == _EXACT_N10[p1]
-    reps = 4000
+def _harness_null_shares(n: int, p1: float, reps: int) -> dict[str, tuple[float, int]]:
+    """The harness's (share, denominator) of each exact-law figure at a = 1,
+    seed 11."""
     cfg = SimConfig(
         params=FamilyParams(lam=1.0, p1=p1, a=1.0, seed=11),
-        n_grid=(10,),
+        n_grid=(n,),
         alpha_grid=(0.05,),
         a_grid=(1.0,),
         reps=reps,
     )
     table = run(cfg, workers=1)
-    j, d = table.get("jel", 1.0, 10, 0.05), table.get("ddk", 1.0, 10, 0.05)
+    j, d = table.get("jel", 1.0, n, 0.05), table.get("ddk", 1.0, n, 0.05)
     assert d.excluded == j.excluded
-    # (Monte Carlo share, its denominator) per exact figure
-    observed = {
+    return {
         "jel": (j.rate, j.used),
         "hull": (j.hull_violations / j.used, j.used),
         "excluded": (j.excluded / reps, reps),
         "ddk": (d.rate, d.used),
     }
+
+
+@pytest.mark.parametrize("p1", sorted(_EXACT_N10))
+def test_harness_matches_exact_null_law_at_n10(p1):
+    exact = exact_null_law(exact_null_counts(10, 0.05), p1)
+    assert {k: round(v, 4) for k, v in exact.items()} == _EXACT_N10[p1]
+    reps = 4000
+    observed = _harness_null_shares(10, p1, reps)
     z = {k: (share - exact[k]) / math.sqrt(exact[k] * (1.0 - exact[k]) / m)
          for k, (share, m) in observed.items()}
     _record(
@@ -217,6 +202,43 @@ def test_harness_matches_exact_null_law_at_n10(p1):
         all(abs(v) <= 4.0 for v in z.values()),
         "; ".join(f"{k} {observed[k][0]:.4f} vs exact {exact[k]:.4f} ({z[k]:+.1f} SE)" for k in z)
         + f" (within 4 SE, {reps} reps)",
+    )
+
+
+_EXACT_N20 = {
+    0.1: {"jel": 0.1035, "hull": 0.0346, "excluded": 0.1216, "ddk": 0.0458},
+    0.5: {"jel": 0.0490, "hull": 0.0001, "excluded": 0.0000, "ddk": 0.0666},
+}
+
+
+@pytest.fixture(scope="module")
+def counts_n20():
+    return exact_null_counts(20, 0.05)
+
+
+@pytest.mark.parametrize("p1", sorted(_EXACT_N20))
+def test_harness_matches_exact_null_law_at_n20(p1, counts_n20):
+    from scipy.stats import binomtest
+
+    exact = exact_null_law(counts_n20, p1)
+    assert {k: round(v, 4) for k, v in exact.items()} == _EXACT_N20[p1]
+    reps = 4000
+    observed = _harness_null_shares(20, p1, reps)
+    # within 4 SE, or, where fewer than 10 hits are expected, a two-sided
+    # binomial tail above 1e-4
+    verdicts = {}
+    for k, (share, m) in observed.items():
+        if exact[k] * m >= 10:
+            z = (share - exact[k]) / math.sqrt(exact[k] * (1.0 - exact[k]) / m)
+            verdicts[k] = (abs(z) <= 4.0, f"{z:+.2f} SE")
+        else:
+            tail = binomtest(round(share * m), m, exact[k]).pvalue
+            verdicts[k] = (tail > 1e-4, f"binomial tail {tail:.3g}")
+    _record(
+        f"harness matches the exact null law at n=20, p1={p1}",
+        all(ok for ok, _ in verdicts.values()),
+        "; ".join(f"{k} {observed[k][0]:.4f} vs exact {exact[k]:.4f} ({verdicts[k][1]})"
+                  for k in verdicts) + f" ({reps} reps)",
     )
 
 
@@ -231,9 +253,9 @@ def test_ddk_exact_law_matches_enumeration():
         for ranks in itertools.combinations(range(n), i):
             counts[sum(r - k for k, r in enumerate(ranks))] += 1
         np.testing.assert_allclose(law[i], counts / math.comb(n, i), rtol=0, atol=1e-15)
-    law10 = ddk_exact_law(10)
+    law10, counts10 = ddk_exact_law(10), exact_null_counts(10, 0.05)
     for p1 in sorted(_EXACT_N10):
-        assert math.isclose(ddk_exact_size(law10, p1, 0.05), _exact_null_law(10, p1, 0.05)["ddk"],
+        assert math.isclose(ddk_exact_size(law10, p1, 0.05), exact_null_law(counts10, p1)["ddk"],
                             rel_tol=1e-12)
 
 
@@ -284,6 +306,55 @@ def test_power_trend_and_method_band():
         "power increases with n and stays within 2 se of the concordance test",
         trend_ok and band_ok,
         f"jel power at a=1.9, n=20..100: {rates}; trend ok={trend_ok}, band ok={band_ok}",
+    )
+
+
+def test_projection_variance_matches_quadrature():
+    from scipy.integrate import quad
+
+    def moment(p1, a, power):
+        """E g^p over x uniform and the cause given x, by quadrature."""
+        def integrand(x):
+            f1 = p1 * a * x ** (a - 1.0)
+            g1, g2 = x - p1 * x**a - (1.0 - p1) / 2.0, p1 / 2.0 - p1 * x**a
+            return f1 * g1**power + (1.0 - f1) * g2**power
+        return quad(integrand, 0.0, 1.0, epsabs=1e-14, epsrel=1e-12)[0]
+
+    for p1 in (0.0, 0.1, 0.3, 0.5):
+        for a in (1.0, 1.05, 1.5, 1.9, 2.0):
+            assert moment(p1, a, 1) == pytest.approx(closed_form_delta(p1, a), abs=1e-12)
+            quadrature = 4.0 * (moment(p1, a, 2) - closed_form_delta(p1, a) ** 2)
+            assert projection_variance(p1, a) == pytest.approx(quadrature, rel=1e-9, abs=1e-14)
+        assert projection_variance(p1, 1.0) == pytest.approx(p1 * (1.0 - p1) / 3.0, abs=1e-15)
+    # sigma_a / sigma_0 at a = 1.5, 1.9, 2, and (jel, ddk) power pairs
+    ratios = {0.1: (0.963, 0.967, 0.970), 0.5: (0.898, 0.732, 0.683)}
+    for p1, expected in ratios.items():
+        got = [math.sqrt(projection_variance(p1, a) / (p1 * (1.0 - p1) / 3.0)) for a in (1.5, 1.9, 2.0)]
+        assert [round(r, 3) for r in got] == list(expected)
+    for (p1, a, n), pair in {(0.5, 1.9, 20): (0.907, 0.728), (0.5, 1.5, 50): (0.779, 0.707),
+                             (0.1, 2.0, 50): (0.289, 0.269)}.items():
+        assert tuple(round(asymptotic_power(p1, a, n, 0.05, m), 3) for m in ("jel", "ddk")) == pair
+
+
+def test_power_matches_u_statistic_theory_at_n1600():
+    # local alternatives a = 1 + h / sqrt(n), where the normal limit of
+    # sqrt(n) delta_hat gives each method's power
+    n, reps, alpha = 1600, 4000, 0.05
+    a_grid = tuple(1.0 + h / math.sqrt(n) for h in (2, 4))
+    z = {}
+    for p1 in (0.1, 0.3, 0.5):
+        table = run(SimConfig(params=FamilyParams(lam=1.0, p1=p1, a=1.0, seed=3), n_grid=(n,),
+                              alpha_grid=(alpha,), a_grid=a_grid, reps=reps))
+        for a, method in itertools.product(a_grid, ("jel", "ddk")):
+            theory = asymptotic_power(p1, a, n, alpha, method)
+            cell = table.get(method, a, n, alpha)
+            z[method, p1, a] = (cell.rate - theory) / math.sqrt(theory * (1.0 - theory) / cell.used)
+    worst = max(z, key=lambda k: abs(z[k]))
+    _record(
+        "power matches U-statistic theory at n=1600, a=1+h/40",
+        all(abs(v) <= 4.0 for v in z.values()),
+        f"{len(z)} cells (jel/ddk, p1 0.1/0.3/0.5, h 2/4), worst {z[worst]:+.2f} SE for "
+        f"{worst[0]} at p1={worst[1]}, a={worst[2]:g} (within 4 SE, {reps} reps)",
     )
 
 

@@ -5,8 +5,9 @@ import sys
 import numpy as np
 import pytest
 
-from crtest import FamilyParams, rng_from_seed, sample, true_delta
+from crtest import FamilyParams, jackknife, rng_from_seed, sample, true_delta
 from crtest.datagen import _Words, draw, uniform_rows
+from crtest.ustat import jackknife_rows
 
 from oracles import closed_form_delta
 
@@ -56,24 +57,67 @@ def test_sample_rng_override_is_deterministic():
     assert s1 != s3
 
 
+class FixedUniforms:
+    """An ``rng`` stub for ``sample``: its one ``random(2n)`` call returns ``u``."""
+
+    def __init__(self, *u):
+        self.u = np.array(u, dtype=float)
+
+    def random(self, size):
+        assert size == self.u.size
+        return self.u.copy()
+
+
 def test_sample_stream_is_pinned():
-    # digest taken when sample() drew times and causes with two random(n)
-    # calls; the single random(2n) draw must keep the stream
-    s = sample(FamilyParams(lam=1, p1=0.4, a=1.5, seed=9), 50, rng=rng_from_seed(9, (1, 2, 3)))
-    digest = hashlib.sha256(s.times.tobytes() + s.causes.tobytes()).hexdigest()
-    assert digest == "32ff8c8fafa8e7c6591364570256ae16c851491c7acd595f1e4618cf66b37474"
+    # what the stream fixes on every CPU: PCG64's uniforms and the causes
+    # drawn from them (at a = 1.5, ** 0.5 is an exact square root).  The
+    # times' last bits are those of the CPU's float64 log1p kernel, which
+    # differ between numpy's SIMD and baseline code, so they are checked
+    # against this process's log1p
+    u = rng_from_seed(9, (1, 2, 3)).random(100)
+    assert hashlib.sha256(u.tobytes()).hexdigest() == (
+        "26d451369d4e78fdc659fd8b9288a0ff6fc341692abcbbef5af67289d40be3c5")
+    for lam in (1.0, 2.5):
+        s = sample(FamilyParams(lam=lam, p1=0.4, a=1.5, seed=9), 50, rng=rng_from_seed(9, (1, 2, 3)))
+        assert hashlib.sha256(s.causes.tobytes()).hexdigest() == (
+            "31668a1ddddedfc413f47721db67d8bfade9805333599952d1c54f1849ff0dd3")
+        assert s.times.tobytes() == (-np.log1p(-u[:50]) / lam).tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 3, 20, 101])
 def test_stacked_draw_rows_equal_sample(n):
+    # a harness row scores its time uniforms where sample() has times, so
+    # both give the same causes and, from the same order, the same bits
     p = FamilyParams(lam=0.7, p1=0.3, a=1.8, seed=4)
     u = np.array([rng_from_seed(4, (0, 1, rep)).random(2 * n) for rep in range(30)])
-    times, causes = draw(p, u)
-    assert times.shape == causes.shape == (30, n)
+    causes = draw(p.p1, p.a, u)
+    assert causes.shape == (30, n)
+    if n >= 3:
+        d_hat, pseudo = jackknife_rows(u[:, :n], causes)
     for rep in range(30):
         s = sample(p, n, rng=rng_from_seed(4, (0, 1, rep)))
-        assert s.times.tobytes() == times[rep].tobytes()
         assert np.array_equal(s.causes, causes[rep])
+        assert np.array_equal(np.argsort(s.times), np.argsort(u[rep, :n]))
+        if n >= 3:
+            jk = jackknife(s)
+            assert jk.delta_hat == d_hat[rep]
+            assert jk.pseudo_values.tobytes() == pseudo[rep].tobytes()
+
+
+def test_times_keep_the_order_of_their_uniforms():
+    # -log1p(-u) is strictly increasing across adjacent uniforms of numpy's
+    # 2**-53 grid, so a sample's times tie and order exactly as its time
+    # uniforms do.  A step of the grid raises the time by about
+    # 2**-53 / (1 - u), least in ulps of the time just above t = 1/2, 1 and
+    # 2 (1.65, 1.36 and 1.85 ulps); checked there, at windows spread over
+    # [0, 1) and at windows approaching 1
+    k = np.arange(1 << 15)
+    starts = [*np.linspace(0, (1 << 53) - k.size, 24).astype(np.int64),
+              *(int((1.0 - math.exp(-t)) * 2.0**53) - k.size // 2 for t in (0.5, 1.0, 2.0)),
+              *((1 << 53) - k.size * m for m in (1, 3, 1000, 1 << 20))]
+    for start in starts:
+        u = (start + k) * 2.0**-53
+        assert np.all(np.diff(-np.log1p(-u)) > 0)
 
 
 @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 3, 2**128 + 1, 2**200 + 9])
@@ -162,7 +206,7 @@ def cause_rule(params, ut):
     p = params.p1 * params.a * ut ** (params.a - 1.0)
     causes = []
     for uc in (np.nextafter(p, 0.0), p, np.nextafter(p, 1.0)):
-        got = draw(params, np.concatenate((ut, uc))[None, :])[1][0]
+        got = draw(params.p1, params.a, np.concatenate((ut, uc))[None, :])[0]
         expected = np.where(uc < p, 1, 2)
         assert got.dtype == expected.dtype
         assert np.array_equal(got, expected)
@@ -186,17 +230,17 @@ def test_cause1_probability_constant_iff_independent():
 def test_sub_distribution_limits():
     # F1(t) = p1*F(t)**a rises from 0 at t = 0 to p1 as F(t) tends to 1
     p = FamilyParams(lam=1.0, p1=0.4, a=1.5)
-    times, causes = draw(p, np.zeros((1, 2)))
-    assert times[0, 0] == 0.0 and causes[0, 0] == 2  # cause 1 has probability 0 at t = 0
+    s = sample(p, 1, rng=FixedUniforms(0.0, 0.0))
+    assert s.times[0] == 0.0 and s.causes[0] == 2  # cause 1 has probability 0 at t = 0
     # over F's uniform law the cause-1 probability averages to F1's limit p1
     ut = (np.arange(100_000) + 0.5) / 100_000
     prob, below, above = cause_rule(p, ut)
     assert np.all(below == 1) and np.all(above == 2)
     assert float(prob.mean()) == pytest.approx(0.4, abs=1e-6)
     # the largest uniform numpy draws gives the longest time, where F is 1 - 2**-53
-    times, _ = draw(p, np.array([[1.0 - 2.0**-53, 0.5]]))
-    assert times[0, 0] == pytest.approx(53.0 * math.log(2.0) / p.lam, rel=1e-15)
-    assert -math.expm1(-p.lam * times[0, 0]) == pytest.approx(1.0, abs=1e-15)
+    longest = sample(p, 1, rng=FixedUniforms(1.0 - 2.0**-53, 0.5)).times[0]
+    assert longest == pytest.approx(53.0 * math.log(2.0) / p.lam, rel=1e-15)
+    assert -math.expm1(-p.lam * longest) == pytest.approx(1.0, abs=1e-15)
 
 
 @pytest.mark.parametrize("lam", [1e-310, 2.03e-307, 5e291, 1e300, sys.float_info.max])
@@ -209,11 +253,11 @@ def test_params_refuse_a_rate_that_takes_times_out_of_normal_floats(lam):
 
 @pytest.mark.parametrize("lam", [2.05e-307, 4.98e291])
 def test_extreme_accepted_rates_give_finite_normal_times(lam):
-    u = np.array([[0.0, 2.0**-53, 0.5, 1.0 - 2.0**-53] * 2])
-    times, _ = draw(FamilyParams(lam=lam, p1=0.3, a=1.5), u)
-    assert times[0, 0] == 0.0
-    assert np.all(np.isfinite(times)) and np.all(times[0, 1:] >= sys.float_info.min)
-    assert np.all(np.diff(times[0]) > 0)
+    u = FixedUniforms(*[0.0, 2.0**-53, 0.5, 1.0 - 2.0**-53] * 2)
+    times = sample(FamilyParams(lam=lam, p1=0.3, a=1.5), 4, rng=u).times
+    assert times[0] == 0.0
+    assert np.all(np.isfinite(times)) and np.all(times[1:] >= sys.float_info.min)
+    assert np.all(np.diff(times) > 0)
 
 
 def test_true_delta_matches_closed_form_grid():

@@ -164,8 +164,8 @@ def test_workers_do_not_change_results(monkeypatch):
 
 @pytest.mark.parametrize("lam", [0.37, 3.0, 1000.0])
 def test_lambda_changes_the_metadata_and_no_cell(lam):
-    # the sampler divides every time by lam, which keeps their order, and
-    # both statistics read only the order of the times
+    # the harness scores the time uniforms, which share the order of the
+    # times -log1p(-u) / lam at every lam, and never reads lam
     def table(lam):
         params = FamilyParams(lam=lam, p1=0.1, a=1.0, seed=5)
         return run(small_config(params=params, n_grid=(20, 50, 200), a_grid=(1.0, 2.0),
@@ -357,6 +357,20 @@ def test_workers_bounded_by_available_cpus():
     for value in (1.5, True, None):
         with pytest.raises(ValueError, match="workers must be an integer"):
             run(small_config(), workers=value)
+
+
+@pytest.mark.parametrize("count, cpus", [(3, 3), (None, 1)])
+def test_workers_without_an_affinity_mask_count_the_cpus(monkeypatch, count, cpus):
+    # where os has no sched_getaffinity (macOS, Windows) the CPU count
+    # serves, and one CPU where that is unknown too
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
+    children = set(multiprocessing.active_children())
+    assert _resolve_workers(0) == cpus
+    assert _resolve_workers(1) == 1
+    assert _resolve_workers(10**6) == cpus
+    # resolving starts no process
+    assert set(multiprocessing.active_children()) == children
 
 
 def test_workers_bounded_by_task_count():

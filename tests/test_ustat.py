@@ -235,10 +235,12 @@ def test_jackknife_rows_memory_is_linear_in_stack_size():
     for n in (16, 128, 1024):
         rows = _BLOCK_ELEMS // n
         assert rows * n == _BLOCK_ELEMS
-        times, causes = draw(params, uniform_rows(params.seed, (0, 0), 0, rows, 2 * n))
+        # as the harness does: the time uniforms score in place of the times
+        u = uniform_rows(params.seed, (0, 0), 0, rows, 2 * n)
+        causes = draw(params.p1, params.a, u)
         tracemalloc.start()
         try:
-            jackknife_rows(times, causes)
+            jackknife_rows(u[:, :n], causes)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -248,10 +250,11 @@ def test_jackknife_rows_memory_is_linear_in_stack_size():
 def test_pseudo_values_are_pinned():
     # SHA-256 of the pseudo-value bytes, each the exact quotient
     # (2(n - 1)*row_i - sum(row)) / ((n - 1)(n - 2)) rounded once; any
-    # change of a bit shows
+    # change of a bit shows.  The time uniforms order each row as the times
+    # -log1p(-u) / lam do, so scoring either gives this hash
     params = FamilyParams(lam=1.0, p1=0.3, a=1.5, seed=7)
-    times, causes = draw(params, uniform_rows(params.seed, (1, 2), 0, 163, 200))
-    pseudo = jackknife_rows(times, causes)[1]
+    u = uniform_rows(params.seed, (1, 2), 0, 163, 200)
+    pseudo = jackknife_rows(u[:, :100], draw(params.p1, params.a, u))[1]
     assert pseudo.shape == (163, 100)
     assert hashlib.sha256(pseudo.tobytes()).hexdigest() == (
         "406bed98ea4421fdfa6c873b8434645b95d86c1871aaa501e6baf6871fc1d573"
