@@ -7,7 +7,7 @@ with tunable dependence, and a Monte Carlo rejection-rate harness.
 module on first use, so ``crtest test`` never loads the harness.
 """
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
 import importlib
 

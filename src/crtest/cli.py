@@ -27,7 +27,7 @@ from .errors import CrtestError
 from .jel import jel_test
 from .reader import IngestResult, IngestSpec, ingest
 
-SCHEMA_VERSION = 1  # of the ``test`` report
+SCHEMA_VERSION = 2  # of the ``test`` report
 
 
 def _labels(text: str) -> frozenset[str]:

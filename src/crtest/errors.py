@@ -45,11 +45,9 @@ class NegativeTime(ParseError):
 class UnmappedLabel(CrtestError):
     """A cause label not covered by the configured label mapping."""
 
-    def __init__(self, label: str, row: int | None = None):
-        where = f" (row {row})" if row is not None else ""
+    def __init__(self, label: str, row: int):
         super().__init__(
-            f"unmapped cause label {label!r}{where}; "
-            "add it to --cause1/--cause2 or --drop"
+            f"unmapped cause label {label!r} (row {row}); add it to --cause1/--cause2 or --drop"
         )
         self.label = label
         self.row = row

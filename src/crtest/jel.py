@@ -68,31 +68,28 @@ class ElSolution(Record):
     """Solved weight profile for one hypothesized pseudo-value mean.
 
     ``lam`` is the Lagrange multiplier, ``weights`` the maximizing
-    probabilities (each in (0, 1), summing to 1), ``log_ratio`` the profiled
-    log empirical likelihood ratio (always <= 0), ``iterations`` the steps
-    the solve took and ``residual`` the absolute mean score at ``lam``.
+    probabilities (each in (0, 1), summing to 1) and ``iterations`` the
+    steps the solve took.  The profiled log ratio is -statistic/2.
     """
 
     lam: float
     weights: np.ndarray
-    log_ratio: float
     iterations: int
-    residual: float
 
 
 def jel_statistics(
     pseudo_values: np.ndarray, thresholds: Sequence[float] = ()
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """:func:`jel_statistic` over each row of an (R, n) pseudo-value stack.
 
-    Returns ``(statistic, degenerate, iterations, lam, residual)``, each of
-    length R.  An all-zero row is degenerate, with statistic 0; a row
-    without 0 strictly inside its (min, max) is a hull violation, with
-    statistic +inf; both get lam 0, residual 0 and 0 iterations.  The
-    remaining rows are solved together, and each stops once its duality gap
-    is at most 1e-13 * max(1, L) and reports its lower bound L (module
-    docstring).  Raises :class:`NoConvergence` if a row is still open after
-    the iteration cap or its statistic overflows.
+    Returns ``(statistic, degenerate, iterations, lam)``, each of length R.
+    An all-zero row is degenerate, with statistic 0; a row without 0
+    strictly inside its (min, max) is a hull violation, with statistic
+    +inf; both get lam 0 and 0 iterations.  The remaining rows are solved
+    together, and each stops once its duality gap is at most
+    1e-13 * max(1, L) and reports its lower bound L (module docstring).
+    Raises :class:`NoConvergence` if a row is still open after the
+    iteration cap or its statistic overflows.
 
     ``thresholds`` is for the Monte Carlo harness, which only asks which side
     of each one a statistic lies on.  A row whose bounds settle that before
@@ -105,10 +102,10 @@ def jel_statistics(
     degenerate = (v_min == 0.0) & (v_max == 0.0)
     stat = np.where(degenerate, 0.0, math.inf)
     iterations = np.zeros(r, dtype=np.int64)
-    lam, residual = np.zeros(r), np.zeros(r)
+    lam = np.zeros(r)
     rows = np.flatnonzero((v_min < 0.0) & (v_max > 0.0))
     if not rows.size:
-        return stat, degenerate, iterations, lam, residual
+        return stat, degenerate, iterations, lam
     d = v
     if rows.size < r:
         d, v_min, v_max = v[rows], v_min[rows], v_max[rows]
@@ -134,8 +131,7 @@ def jel_statistics(
             hi = np.where(pos, hi, la)
             # one end of the updated bracket is la, so U - L in the module
             # docstring is 2n*|ga|*(hi - lo); a NaN gap stops the row too
-            ag = np.abs(ga)
-            gap = 2.0 * n * ag * (hi - lo)
+            gap = 2.0 * n * np.abs(ga) * (hi - lo)
             left = gap > _EPS * np.maximum(1.0, fa)
             if q_up.size:
                 left &= q_up.searchsorted(fa) < q_down.searchsorted(fa + gap, side="right")
@@ -143,7 +139,7 @@ def jel_statistics(
             if active < act.size:
                 done = ~left
                 idx = act[done]
-                lam[idx], residual[idx], iterations[idx], stat[idx] = la[done], ag[done], step, fa[done]
+                lam[idx], iterations[idx], stat[idx] = la[done], step, fa[done]
                 if not active:
                     break
                 act, da, q, ga, fa = act[left], da[left], q[left], ga[left], fa[left]
@@ -169,7 +165,7 @@ def jel_statistics(
     # an overflowing lam*d must not leave an inf or NaN to pass as a result
     if not np.isfinite(t).all():
         raise NoConvergence("the solve overflowed to a non-finite statistic")
-    return stat, degenerate, iterations, lam, residual
+    return stat, degenerate, iterations, lam
 
 
 def jel_statistic(pseudo_values, delta0: float = 0.0) -> tuple[float, bool, bool, ElSolution | None]:
@@ -199,18 +195,11 @@ def jel_statistic(pseudo_values, delta0: float = 0.0) -> tuple[float, bool, bool
     # this also refuses finite values whose difference overflows
     if not np.isfinite(d).all():
         raise ValueError("pseudo-values must be finite")
-    stat, degenerate, iterations, lam, residual = jel_statistics(d[None, :])
+    stat, degenerate, iterations, lam = jel_statistics(d[None, :])
     if math.isinf(stat[0]):
         return math.inf, False, False, None
     weights = 1.0 / (n * (1.0 + lam[0] * d))
-    el = ElSolution(
-        lam=float(lam[0]),
-        weights=weights,
-        # 0.0 - x rather than -x, so a statistic of 0 gives +0.0, not -0.0
-        log_ratio=0.0 - 0.5 * float(stat[0]),
-        iterations=int(iterations[0]),
-        residual=float(residual[0]),
-    )
+    el = ElSolution(lam=float(lam[0]), weights=weights, iterations=int(iterations[0]))
     return float(stat[0]), True, bool(degenerate[0]), el
 
 

@@ -190,8 +190,9 @@ def _run_block(config: SimConfig, a_idx: int, n_idx: int, rep_lo: int, rep_hi: i
     tallies = []
     if "jel" in config.methods:
         thresholds = [chisq1_quantile(1.0 - al) for al in config.alpha_grid]
-        stat, degenerate, iterations, _, _ = jel_statistics(pseudo, thresholds)
-        rejections = (stat[~degenerate, None] > thresholds).sum(axis=0)
+        stat, degenerate, iterations, _ = jel_statistics(pseudo, thresholds)
+        # a degenerate row's statistic, 0, exceeds no chi-square quantile
+        rejections = (stat[:, None] > thresholds).sum(axis=0)
         tallies.append([*rejections, degenerate.sum(), np.isinf(stat).sum(), iterations.max()])
     if "ddk" in config.methods:
         p1_hat = (causes == 1).sum(axis=1) / n

@@ -67,14 +67,13 @@ class IngestSpec(Record):
 class IngestResult(Record):
     """A parsed sample plus its row counts and the file's fingerprint.
 
-    ``n_used + n_dropped == rows_parsed`` always; ``fingerprint`` is the
-    SHA-256 of the raw file bytes.
+    ``n_used + n_dropped`` is the number of data rows parsed;
+    ``fingerprint`` is the SHA-256 of the raw file bytes.
     """
 
     sample: Sample
     n_used: int
     n_dropped: int
-    rows_parsed: int
     fingerprint: str
 
 
@@ -156,5 +155,4 @@ def ingest(spec: IngestSpec) -> IngestResult:
         raise ParseError(0, str(spec.path), "file is empty but a header was expected")
 
     return IngestResult(sample=Sample.from_arrays(times, causes), n_used=len(times),
-                        n_dropped=n_dropped, rows_parsed=len(times) + n_dropped,
-                        fingerprint=fingerprint)
+                        n_dropped=n_dropped, fingerprint=fingerprint)

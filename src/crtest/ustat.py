@@ -133,7 +133,6 @@ class JackknifeSet(Record):
 
     delta_hat: float
     pseudo_values: np.ndarray
-    n: int
 
 
 def jackknife_rows(times: np.ndarray, causes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -166,4 +165,4 @@ def jackknife(sample: Sample) -> JackknifeSet:
     if n < 3:
         raise SampleTooSmall(f"jackknife needs n >= 3 observations, got {n}")
     d_full, pseudo = jackknife_rows(sample.times, sample.causes)
-    return JackknifeSet(delta_hat=float(d_full), pseudo_values=pseudo, n=n)
+    return JackknifeSet(delta_hat=float(d_full), pseudo_values=pseudo)

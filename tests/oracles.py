@@ -208,7 +208,7 @@ def scalar_solve_lambda(d, max_iter: int = 100, thresholds=()):
     The solve of one row written with Python-float scalars, step for step
     as the package takes it: Owen's closed-form bracket, one Newton step per
     iteration with a bisection fallback.  ``d`` must have min < 0 < max.
-    Returns ``(lam, iterations, residual, statistic)``, or None when the cap
+    Returns ``(lam, iterations, statistic)``, or None when the cap
     is hit with the solve still open.
 
     f(lam) = sum(log(1 + lam*d)) is concave and the statistic is 2 f at the
@@ -252,7 +252,7 @@ def scalar_solve_lambda(d, max_iter: int = 100, thresholds=()):
         low = 2.0 * float(np.sum(np.log1p(w)))
         q = d / (w + 1.0)
         g = float(np.mean(q))
-    return lam, iterations, abs(g), low if low > 0.0 else 0.0
+    return lam, iterations, low if low > 0.0 else 0.0
 
 
 def decimal_el_statistic(d) -> float:
@@ -360,7 +360,7 @@ def exact_null_counts(n: int, alpha: float) -> dict[str, np.ndarray]:
         causes = 1 + (codes[:, None] >> ranks & 1)
         n1 = (causes == 1).sum(axis=1)
         d_hat, pseudo = jackknife_rows(np.broadcast_to(ranks.astype(float), causes.shape), causes)
-        stat, degenerate, _, _, _ = jel_statistics(pseudo, [q])
+        stat, degenerate, _, _ = jel_statistics(pseudo, [q])
         observed = (n1 > 0) & (n1 < n)
         # both tests exclude exactly the one-cause sequences
         assert np.array_equal(degenerate, ~observed)
@@ -527,6 +527,5 @@ def row_loop_ingest(spec) -> IngestResult:
         sample=sample,
         n_used=len(times),
         n_dropped=n_dropped,
-        rows_parsed=len(times) + n_dropped,
         fingerprint=fingerprint,
     )

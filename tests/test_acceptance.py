@@ -107,8 +107,7 @@ def test_mean_of_pseudo_values_equals_point_estimate():
 
 
 def test_closed_form_profile_solve():
-    el = jel_statistic(np.array([-1.0, 1.0, 1.0]))[3]
-    stat = -2.0 * el.log_ratio
+    stat, _, _, el = jel_statistic(np.array([-1.0, 1.0, 1.0]))
     lam_err = abs(el.lam - CLOSED_FORM_LAMBDA)
     stat_err = abs(stat - 0.339798)
     _record(

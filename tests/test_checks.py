@@ -62,8 +62,7 @@ def record(s: Sample):
 
 
 def el_record(el):
-    return None if el is None else [el.lam, el.weights.tolist(), el.log_ratio, el.iterations,
-                                    el.residual]
+    return None if el is None else [el.lam, el.weights.tolist(), el.iterations]
 
 
 def jel_record(result):

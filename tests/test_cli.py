@@ -188,7 +188,7 @@ def test_help_exits_0(capsys):
 
 def test_version(capsys):
     assert cli_main(["--version"]) == 0
-    assert "crtest 0.8.0" in capsys.readouterr().out
+    assert "crtest 0.9.0" in capsys.readouterr().out
 
 
 def test_simulate_csv(capsys):
@@ -421,7 +421,7 @@ def golden_text(case, method, n, *lines):
 
 def golden_json(case, method, n, result):
     return json.dumps({
-        "schema_version": 1, "method": method, "n_used": n, "n_dropped": 0,
+        "schema_version": 2, "method": method, "n_used": n, "n_dropped": 0,
         "input_sha256": GOLDEN_SHA[case], "tool_version": crtest.__version__, "result": result,
     }, indent=2) + "\n"
 
@@ -454,7 +454,7 @@ def test_golden_degenerate(tmp_path, capsys):
         "degenerate", "jel", 4, {
             "statistic": 0.0, "p_value": 1.0, "reject": False, "alpha": 0.05, "delta_hat": 0.0,
             "n": 4, "hull_ok": True, "degenerate": True,
-            "el": {"lam": 0.0, "log_ratio": 0.0, "iterations": 0, "residual": 0.0},
+            "el": {"lam": 0.0, "iterations": 0},
         })
 
 
@@ -469,7 +469,7 @@ def test_golden_zero_statistic(tmp_path, capsys):
     assert golden_report(tmp_path, capsys, "zero", "json") == golden_json("zero", "jel", 4, {
         "statistic": 0.0, "p_value": 1.0, "reject": False, "alpha": 0.05, "delta_hat": 0.0,
         "n": 4, "hull_ok": True, "degenerate": False,
-        "el": {"lam": 0.0, "log_ratio": 0.0, "iterations": 0, "residual": 0.0},
+        "el": {"lam": 0.0, "iterations": 0},
     })
 
 
@@ -485,8 +485,7 @@ def test_golden_ties(tmp_path, capsys):
         "statistic": 0.5031744124456983, "p_value": 0.4781086238656904, "reject": False,
         "alpha": 0.05, "delta_hat": 0.08333333333333333, "n": 9, "hull_ok": True,
         "degenerate": False,
-        "el": {"lam": 0.6459947131703088, "log_ratio": -0.25158720622284914, "iterations": 5,
-               "residual": 1.850371707708594e-17},
+        "el": {"lam": 0.6459947131703088, "iterations": 5},
     })
 
 

@@ -48,23 +48,22 @@ def random_pseudo(rng, n):
 
 
 def test_closed_form_solution():
-    el = jel_statistic(np.array([-1.0, 1.0, 1.0]))[3]
+    stat, _, _, el = jel_statistic(np.array([-1.0, 1.0, 1.0]))
     assert el.lam == pytest.approx(CLOSED_FORM_LAMBDA, abs=1e-10)
-    assert -2.0 * el.log_ratio == pytest.approx(CLOSED_FORM_STAT, abs=1e-12)
+    assert stat == pytest.approx(CLOSED_FORM_STAT, abs=1e-12)
     np.testing.assert_allclose(el.weights, CLOSED_FORM_WEIGHTS, atol=1e-10)
-    assert_matches_decimal(-2.0 * el.log_ratio, [-1.0, 1.0, 1.0])
+    assert_matches_decimal(stat, [-1.0, 1.0, 1.0])
 
 
 def test_symmetric_pseudo_values_solve_at_zero():
-    el = jel_statistic(np.array([-1.0, 0.0, 1.0]))[3]
+    stat, _, _, el = jel_statistic(np.array([-1.0, 0.0, 1.0]))
     assert el.lam == 0.0
-    assert el.log_ratio == 0.0
+    assert stat == 0.0
     assert el.iterations == 0
 
 
 def test_closed_form_tail_probability():
-    el = jel_statistic(np.array([-1.0, 1.0, 1.0]))[3]
-    p = chisq1_sf(-2.0 * el.log_ratio)
+    p = chisq1_sf(jel_statistic(np.array([-1.0, 1.0, 1.0]))[0])
     assert p == pytest.approx(0.5601, abs=5e-4)
 
 
@@ -75,20 +74,30 @@ def test_lambda_scales_inversely_with_deviation_scale():
     rows = [random_pseudo(rng, 20), random_pseudo(rng, 120),
             np.random.default_rng(3).normal(size=30) + 0.3]
     for v in rows:
-        base = jel_statistic(v)[3]
-        for c in [c for k in range(-12, 13) for c in (2.0**k, 10.0**k)]:
-            scaled = jel_statistic(c * v)[3]
+        stat, _, _, base = jel_statistic(v)
+        for k in range(-12, 13):
+            # a power of 2 scales every step of the solve exactly: the same
+            # statistic and solution, bit for bit, with lam divided by c
+            c = 2.0**k
+            scaled_stat, _, _, scaled = jel_statistic(c * v)
+            assert scaled_stat == stat and scaled.lam * c == base.lam
+            for name, value in vars(base).items():
+                if name != "lam":
+                    assert np.asarray(getattr(scaled, name)).tobytes() == np.asarray(
+                        value).tobytes(), (name, c)
+            c = 10.0**k
+            scaled_stat, _, _, scaled = jel_statistic(c * v)
             assert scaled.lam == pytest.approx(base.lam / c, rel=1e-7)
-            assert scaled.log_ratio == pytest.approx(base.log_ratio, rel=1e-13, abs=0)
+            assert scaled_stat == pytest.approx(stat, rel=1e-13, abs=0)
     # T = 3.0124 rejects at alpha = 0.1 at every scale
     assert jel_statistic(rows[2])[0] == pytest.approx(3.0124, abs=1e-4)
     assert jel_statistic(rows[2] * 1e-10)[0] > chisq1_quantile(0.9)
 
 
 def test_trivial_all_equal_case():
-    el = jel_statistic(np.array([0.7, 0.7, 0.7, 0.7]), 0.7)[3]
+    stat, _, _, el = jel_statistic(np.array([0.7, 0.7, 0.7, 0.7]), 0.7)
     assert el.lam == 0.0
-    assert el.log_ratio == 0.0
+    assert stat == 0.0
     assert el.iterations == 0
     np.testing.assert_array_equal(el.weights, np.full(4, 0.25))
 
@@ -111,22 +120,22 @@ def test_weights_are_a_probability_vector():
     for _ in range(50):
         n = int(rng.integers(3, 60))
         v = random_pseudo(rng, n)
-        el = jel_statistic(v)[3]
+        stat, _, _, el = jel_statistic(v)
         assert el.weights.sum() == pytest.approx(1.0, abs=1e-9)
         assert np.all(el.weights > 0.0) and np.all(el.weights < 1.0)
         # the solved weights satisfy the mean constraint
         assert float(el.weights @ v) == pytest.approx(0.0, abs=1e-9)
-        assert_matches_decimal(-2.0 * el.log_ratio, v)
+        assert_matches_decimal(stat, v)
         assert el.iterations <= 100
-        assert el.log_ratio <= 0.0
+        assert stat >= 0.0
 
 
 def test_solution_at_sample_mean_is_uniform():
     rng = np.random.default_rng(31)
     v = random_pseudo(rng, 25)
-    el = jel_statistic(v, float(v.mean()))[3]
+    stat, _, _, el = jel_statistic(v, float(v.mean()))
     assert el.lam == pytest.approx(0.0, abs=1e-9)
-    assert -2.0 * el.log_ratio == pytest.approx(0.0, abs=1e-10)
+    assert stat == pytest.approx(0.0, abs=1e-10)
 
 
 def test_statistic_grows_away_from_the_mean():
@@ -330,9 +339,9 @@ def test_solver_handles_extreme_but_interior_hypothesis():
     edge = float(v.max())
     mean = float(v.mean())
     delta0 = mean + 0.999 * (edge - mean)
-    el = jel_statistic(v, delta0)[3]
-    assert_matches_decimal(-2.0 * el.log_ratio, v - delta0)
-    assert -2.0 * el.log_ratio > 10.0
+    stat = jel_statistic(v, delta0)[0]
+    assert_matches_decimal(stat, v - delta0)
+    assert stat > 10.0
 
 
 @pytest.mark.parametrize("n", [5, 20, 200])
@@ -383,22 +392,21 @@ def test_batched_solver_rows_match_scalar_oracle_bitwise(with_ties):
         # unbalanced causes give hull violations and degenerate rows too
         causes[::4] = np.where(rng.random((10, n)) < 0.1, 1, 2)
         pseudo = jackknife_rows(times, causes)[1]
-        stat, degenerate, iterations, lams, residuals = jel_statistics(pseudo)
+        stat, degenerate, iterations, lams = jel_statistics(pseudo)
         for i in range(40):
             one_stat, hull_ok, one_degenerate, el = jel_statistic(pseudo[i])
             assert np.array([one_stat]).tobytes() == stat[i].tobytes()
             assert one_degenerate == degenerate[i]
             if hull_ok:
-                # the log ratio is -stat/2, bit for bit the clipped -sum(log1p(lam*v))
-                lr = -np.add.reduce(np.log1p(el.lam * pseudo[i]))
-                assert np.array([el.log_ratio]).tobytes() == np.array([lr if lr < 0.0 else 0.0]).tobytes()
+                # the statistic is bit for bit the clipped 2*sum(log1p(lam*v))
+                t = 2.0 * np.add.reduce(np.log1p(el.lam * pseudo[i]))
+                assert np.array([one_stat]).tobytes() == np.array([t if t > 0.0 else 0.0]).tobytes()
             if not hull_ok or one_degenerate:
-                assert iterations[i] == lams[i] == residuals[i] == 0
+                assert iterations[i] == lams[i] == 0
                 unsolved += 1
                 continue
-            lam, iters, residual, ref_stat = scalar_solve_lambda(pseudo[i])
-            assert np.array([el.lam, el.residual]).tobytes() == np.array([lam, residual]).tobytes()
-            assert np.array([lams[i], residuals[i]]).tobytes() == np.array([lam, residual]).tobytes()
+            lam, iters, ref_stat = scalar_solve_lambda(pseudo[i])
+            assert np.array([el.lam, lams[i]]).tobytes() == np.array([lam, lam]).tobytes()
             assert el.iterations == iters == iterations[i]
             assert np.array([ref_stat]).tobytes() == stat[i].tobytes()
             solved += 1
@@ -408,10 +416,10 @@ def test_batched_solver_rows_match_scalar_oracle_bitwise(with_ties):
 def test_batched_solver_on_generic_pseudo_values():
     rng = np.random.default_rng(67)
     v = np.array([random_pseudo(rng, 30) for _ in range(200)])
-    stat, degenerate, iterations, _, _ = jel_statistics(v)
+    stat, degenerate, iterations, _ = jel_statistics(v)
     assert not degenerate.any() and np.isfinite(stat).all()
     for i in range(200):
-        lam, iters, _, ref_stat = scalar_solve_lambda(v[i])
+        lam, iters, ref_stat = scalar_solve_lambda(v[i])
         assert iters == iterations[i] and ref_stat == stat[i]
         assert jel_statistic(v[i])[3].lam == lam
 
@@ -485,7 +493,7 @@ def test_threshold_decisions_match_the_full_solve(thresholds):
     decided_rows = 0
     for pseudo in (*parts, near):
         full = jel_statistics(pseudo, ())
-        stat, degenerate, iterations, lam, residual = jel_statistics(pseudo, thresholds)
+        stat, degenerate, iterations, lam = jel_statistics(pseudo, thresholds)
         assert np.array_equal(stat[:, None] > thresholds, full[0][:, None] > thresholds)
         assert np.array_equal(degenerate, full[1])
         assert np.array_equal(np.isinf(stat), np.isinf(full[0]))
@@ -496,12 +504,11 @@ def test_threshold_decisions_match_the_full_solve(thresholds):
         for i in np.flatnonzero(np.isfinite(stat) & ~degenerate):
             # no thresholds is the solver kept step for step, bit for bit
             ref = scalar_solve_lambda(pseudo[i])
-            assert np.array([full[0][i], full[3][i], full[4][i]]).tobytes() == np.array(
-                [ref[3], ref[0], ref[2]]).tobytes()
+            assert np.array([full[0][i], full[3][i]]).tobytes() == np.array(
+                [ref[2], ref[0]]).tobytes()
             assert full[2][i] == ref[1]
             ref = scalar_solve_lambda(pseudo[i], thresholds=thresholds)
-            assert np.array([stat[i], lam[i], residual[i]]).tobytes() == np.array(
-                [ref[3], ref[0], ref[2]]).tobytes()
+            assert np.array([stat[i], lam[i]]).tobytes() == np.array([ref[2], ref[0]]).tobytes()
             assert iterations[i] == ref[1]
             if iterations[i] < full[2][i]:
                 decided_rows += 1
@@ -514,7 +521,7 @@ def test_threshold_decisions_match_the_full_solve(thresholds):
                 assert stat[i] == full[0][i]
     assert decided_rows > 100
     # statistics within 1e-12 of a threshold are never decided early
-    stat, _, iterations, _, _ = jel_statistics(near, thresholds)
+    stat, _, iterations, _ = jel_statistics(near, thresholds)
     full = jel_statistics(near)
     on_q = np.isin(np.repeat([Q95, Q99], 4), thresholds) & np.tile([1, 1, 0, 0], 2).astype(bool)
     assert on_q.any() and stat[on_q].tobytes() == full[0][on_q].tobytes()

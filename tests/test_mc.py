@@ -402,7 +402,7 @@ def replay(cfg, a_idx, n_idx):
             jel_exc += 1
         else:
             if v.min() < 0.0 < v.max():
-                _, iters, _, stat = scalar_solve_lambda(v, thresholds=jel_thr)
+                _, iters, stat = scalar_solve_lambda(v, thresholds=jel_thr)
                 iters_max = max(iters_max, iters)
             else:
                 stat = math.inf

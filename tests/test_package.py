@@ -9,7 +9,7 @@ import crtest
 from crtest.data import Record
 
 
-# the public names of crtest 0.8.0
+# the public names of crtest 0.9.0
 EXPORTS = {
     "__version__", "Sample", "FamilyParams", "rng_from_seed", "sample", "true_delta",
     "DdkTestResult", "ddk_test", "CrtestError", "DegenerateSample", "DomainError",

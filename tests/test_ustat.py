@@ -274,7 +274,7 @@ def test_jackknife_worked_example():
     jk = jackknife(s)
     assert jk.delta_hat == 0.0
     assert jk.pseudo_values.tolist() == [-1.0, 0.0, 1.0]
-    assert jk.n == 3
+    assert jk.pseudo_values.size == 3
 
 
 def test_jackknife_requires_three_points():
