@@ -31,21 +31,23 @@ outside [L, U], which decides every rejection as the full solve would
 ``newton_iters_max`` (schema 3) is the most Newton steps any of the cell's
 rows took to its decision, not to convergence.
 
-A run on more than one worker deals its tasks into one share per worker,
-balanced by value count, and sends each worker its share as one message,
-so the pool's fixed cost per message is paid once per worker, not once per
-task.  Such runs share one process pool per process, started by the first
+A run on more than one worker sends its tasks through the executor's own
+chunked ``map``: each worker gets one message of consecutive tasks, so the
+pool's fixed cost per message is paid once per worker, not once per task.
+Such runs share one process pool per process, started by the first
 such run and reused until the interpreter exits, a run asks for a
 different worker count, or a run fails; a failed or interrupted run stops
-its workers, whatever share they are running, takes its pool down with it,
+its workers, whatever tasks they are running, takes its pool down with it,
 and the next run starts a fresh one.  This pays off in a process that
 makes several runs, as a study over several ``FamilyParams`` does: one
 ``run`` per setting.  Between runs the workers sit idle, and
 pooled runs from several threads take turns on the one pool.  Workers keep
 the module state they started with, so patching ``crtest`` after the first
-pooled run does not reach them.  A child forked from a process with a live
-pool starts its own pool; the fork is one of a multi-threaded process, as
-the pool keeps two threads in the parent.
+pooled run does not reach them, with one exception: each run sends the
+function held as ``crtest.mc._run_block`` by its qualified name, so a
+replacement that the workers can import reaches them.  A child forked from
+a process with a live pool starts its own pool; the fork is one of a
+multi-threaded process, as the pool keeps two threads in the parent.
 """
 
 from __future__ import annotations
@@ -203,53 +205,21 @@ def _run_block(config: SimConfig, a_idx: int, n_idx: int, rep_lo: int, rep_hi: i
     return np.array(tallies, dtype=np.int64)
 
 
-def _tasks(config: SimConfig, workers: int) -> list[tuple[SimConfig, int, int, int, int]]:
-    """``_run_block`` arguments covering every cell's replications once.
+def _tasks(config: SimConfig) -> list[tuple[SimConfig, int, int, int, int]]:
+    """``_run_block`` arguments covering every cell's replications once, in
+    cell order.
 
-    A task is one stack of at most ``_BLOCK_ELEMS`` values.  Each task pays a
-    fixed seeding, solver and numpy overhead, so a cell is split further only
-    when the grid has fewer cells than workers; at one worker a cell is one
-    task unless the value cap splits it.  A pooled run sends the tasks as one
-    share per worker (:func:`_shares`), so the pool's cost per message is
-    paid once per worker, not once per task.
+    A task is one stack of at most ``_BLOCK_ELEMS`` values: a cell is one
+    task unless the value cap splits it.  Each task pays a fixed seeding,
+    solver and numpy overhead, so the worker count splits no cell.
     """
-    cells = len(config.a_grid) * len(config.n_grid)
-    chunk = max(50, math.ceil(config.reps / math.ceil(workers / cells)))
-    steps = [min(chunk, max(1, _BLOCK_ELEMS // n)) for n in config.n_grid]
+    steps = [_BLOCK_ELEMS // n for n in config.n_grid]
     return [
         (config, a_idx, n_idx, lo, min(lo + step, config.reps))
         for a_idx in range(len(config.a_grid))
         for n_idx, step in enumerate(steps)
         for lo in range(0, config.reps, step)
     ]
-
-
-def _shares(tasks: list[tuple], workers: int) -> list[list[tuple]]:
-    """Deal ``tasks`` into ``workers`` shares of about equal work.
-
-    Longest processing time first: tasks go out largest first, each to the
-    share with the least work so far, the first such share on a tie.  A
-    task's work is its value count, (rep_hi - rep_lo) * n; equal tasks go
-    out in task order, so the shares are deterministic.  Each share keeps
-    its tasks in task order, so one worker gets ``[tasks]``.  The largest
-    and smallest shares differ by at most the largest task.
-    """
-    sizes = [(hi - lo) * config.n_grid[n_idx] for config, _, n_idx, lo, hi in tasks]
-    loads, picks = [0] * workers, [[] for _ in range(workers)]
-    for i in sorted(range(len(tasks)), key=lambda i: -sizes[i]):
-        w = loads.index(min(loads))
-        loads[w] += sizes[i]
-        picks[w].append(i)
-    return [[tasks[i] for i in sorted(share)] for share in picks]
-
-
-def _run_share(share: list[tuple]) -> list[np.ndarray]:
-    """``_run_block`` tallies of each task of one share, in order.
-
-    ``_run_block`` is looked up in this module when called, so a worker
-    runs the function the module held when the worker started.
-    """
-    return [_run_block(*task) for task in share]
 
 
 def _drop_pool() -> None:
@@ -296,18 +266,18 @@ def run(config: SimConfig, workers: int = 0) -> SimTable:
     workers = _resolve_workers(workers)
     lam, p1, seed = config.params.lam, config.params.p1, config.params.seed
 
-    tasks = _tasks(config, workers)
+    tasks = _tasks(config)
     workers = min(workers, len(tasks))
-    shares = _shares(tasks, workers)
     if workers == 1:
-        share_results = [_run_share(shares[0])]
+        results = map(_run_block, *zip(*tasks))
     else:
         with _POOL_LOCK:
             try:
-                share_results = list(_pool(workers).map(_run_share, shares))
+                results = list(_pool(workers).map(
+                    _run_block, *zip(*tasks), chunksize=-(-len(tasks) // workers)))
             except BaseException:
-                # shutdown() cancels only shares not yet started, and waits
-                # for the running ones, each a worker's whole share: stop the
+                # shutdown() cancels only chunks not yet started, and waits
+                # for the running ones, each a worker's whole chunk: stop the
                 # workers first.  Before Python 3.14's terminate_workers() the
                 # executor has no public way to, so this reaches _processes
                 if _POOL is not None:
@@ -316,11 +286,9 @@ def run(config: SimConfig, workers: int = 0) -> SimTable:
                 _drop_pool()
                 raise
 
-    # cells in task order, whatever share ran them
-    per_cell: dict[tuple[int, int], list[np.ndarray]] = {(t[1], t[2]): [] for t in tasks}
-    for share, results in zip(shares, share_results):
-        for (_, a_idx, n_idx, _, _), tallies in zip(share, results):
-            per_cell[a_idx, n_idx].append(tallies)
+    per_cell: dict[tuple[int, int], list[np.ndarray]] = {}
+    for (_, a_idx, n_idx, _, _), tallies in zip(tasks, results):
+        per_cell.setdefault((a_idx, n_idx), []).append(tallies)
 
     methods = [m for m in _METHOD_ORDER if m in config.methods]
     cells: dict[tuple[str, float, int, float], SimCell] = {}

@@ -29,7 +29,7 @@ from crtest import (
     to_csv,
     to_json,
 )
-from crtest.mc import _BLOCK_ELEMS, _resolve_workers, _run_block, _shares, _tasks
+from crtest.mc import _BLOCK_ELEMS, _pool, _resolve_workers, _run_block, _tasks
 
 from oracles import scalar_solve_lambda
 
@@ -122,7 +122,7 @@ def test_harness_hashes_no_seed_sequence_per_replication(monkeypatch):
     monkeypatch.setattr(np.random, "SeedSequence", counted)
     assert run(cfg, workers=1).cells == expected.cells
     # one SeedSequence per task, not per replication
-    assert len(built) == len(_tasks(cfg, 1)) < cfg.reps
+    assert len(built) == len(_tasks(cfg)) < cfg.reps
 
 
 def test_harness_table_is_pinned():
@@ -155,7 +155,8 @@ def test_benchmark_grids_give_their_pinned_decisions(p1, n_grid, a_grid, expecte
 def test_workers_do_not_change_results(monkeypatch):
     # two CPUs available, so the pool runs with two workers on any runner
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    cfg = small_config(reps=200, n_grid=(8,))
+    # two cells make two tasks, so the run is pooled
+    cfg = small_config(reps=200, n_grid=(8,), a_grid=(1.0, 1.5))
     serial = run(cfg, workers=1)
     parallel = run(cfg, workers=2)
     assert serial.cells == parallel.cells
@@ -374,8 +375,8 @@ def test_workers_without_an_affinity_mask_count_the_cpus(monkeypatch, count, cpu
 
 
 def test_workers_bounded_by_task_count():
-    # 100 replications of one cell make two blocks of 50
-    table = run(small_config(reps=100), workers=8)
+    # two cells of 100 replications make two tasks
+    table = run(small_config(reps=100, a_grid=(1.0, 1.5)), workers=8)
     assert table.metadata["workers"] == min(2, _resolve_workers(8))
 
 
@@ -509,10 +510,11 @@ def test_cells_do_not_depend_on_task_size(monkeypatch):
     small = run(cfg, workers=1)
     # every cell spans many tasks, none holding more than _BLOCK_ELEMS values
     assert len(stacks) == 2 * (300 // 12 + 300 // 3) and max(stacks) <= 64
-    # the workers' _run_share looks _run_block up in crtest.mc, so put the
-    # real one back before a pool can fork with the counting one
+    # the pool pickles the function crtest.mc._run_block holds by name, and
+    # a local function has no importable name, so put the real one back
     monkeypatch.setattr(crtest.mc, "_run_block", _run_block)
     pooled = run(cfg, workers=2)
+    assert pooled.metadata["workers"] == 2
     assert small.cells == default.cells == pooled.cells
     assert small.metadata["newton_iters_max"] == pooled.metadata["newton_iters_max"] \
         == default.metadata["newton_iters_max"]
@@ -549,68 +551,49 @@ POOL_GRID = small_config(params=FamilyParams(lam=1.0, p1=0.1, a=1.0, seed=1), n_
     POOL_GRID,
 ], ids=["one-cell", "capped", "pool-grid"])
 def test_one_worker_tasks_are_whole_cells_under_the_value_cap(cfg):
-    tasks = _tasks(cfg, 1)
+    # the tasks depend on the grid alone: no worker count splits a cell
+    tasks = _tasks(cfg)
     assert [t[1:] for t in tasks] == serial_partition(cfg)
     check_cover(cfg, tasks)
 
 
-def test_pool_splits_cells_only_when_workers_outnumber_them():
-    # six cells: every worker count up to six gives the serial tasks
-    serial = _tasks(POOL_GRID, 1)
-    assert len(serial) == 12
-    for workers in (2, 4):
-        assert _tasks(POOL_GRID, workers) == serial
-    one_cell = small_config(reps=200)
-    halves = _tasks(one_cell, 2)
-    assert [t[3:] for t in halves] == [(0, 100), (100, 200)]
-    check_cover(one_cell, halves)
-    for cfg, workers in ((one_cell, 8), (POOL_GRID, 64), (small_config(reps=4096, n_grid=(500,)), 3)):
-        check_cover(cfg, _tasks(cfg, workers))
+def test_one_task_runs_without_a_pool(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    crtest.mc._drop_pool()
+    cfg = small_config(reps=200)
+    assert [t[1:] for t in _tasks(cfg)] == [(0, 0, 0, 200)]
+    table = run(cfg, workers=2)
+    assert crtest.mc._POOL is None
+    assert table.metadata["workers"] == 1
+    assert table.cells == run(cfg, workers=1).cells
 
 
 LOPSIDED = small_config(params=FamilyParams(lam=1.0, p1=0.5, a=1.0, seed=4), n_grid=(20, 1000),
                         a_grid=(1.5,), reps=400)
 
 
-def load(share):
-    return sum((hi - lo) * config.n_grid[n_idx] for config, _, n_idx, lo, hi in share)
-
-
-@pytest.mark.parametrize("cfg", [small_config(reps=200), POOL_GRID, LOPSIDED,
-                                 small_config(reps=5000, n_grid=(3, 40, 1000), a_grid=(1.0, 1.5))],
-                         ids=["one-cell", "pool-grid", "lopsided", "capped"])
-def test_shares_deal_every_task_once_into_balanced_loads(cfg):
-    for workers in (1, 2, 3, 4):
-        tasks = _tasks(cfg, workers)
-        workers = min(workers, len(tasks))
-        shares = _shares(tasks, workers)
-        assert len(shares) == workers and all(shares)
-        assert sorted(t for share in shares for t in share) == sorted(tasks)
-        assert shares == _shares(list(tasks), workers)
-        # each share keeps task order, so one worker gets the tasks as they are
-        assert all(share == sorted(share, key=tasks.index) for share in shares)
-        loads = [load(share) for share in shares]
-        assert max(loads) - min(loads) <= max(load([t]) for t in tasks)
-    assert _shares(_tasks(cfg, 1), 1) == [_tasks(cfg, 1)]
-
-
 def test_pooled_run_sends_one_message_per_worker(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-    messages = []
+    calls = []
 
     class InlinePool:
-        def map(self, fn, *iterables):
+        def map(self, fn, *iterables, chunksize):
             args = list(zip(*iterables))
-            messages.append((fn, args))
-            return [fn(*a) for a in args]
+            chunks = [args[i:i + chunksize] for i in range(0, len(args), chunksize)]
+            calls.append((fn, chunks))
+            return [fn(*a) for chunk in chunks for a in chunk]
 
     monkeypatch.setattr(crtest.mc, "_pool", lambda workers: InlinePool())
-    pooled = run(LOPSIDED, workers=3)
-    assert len(messages) == 1
-    fn, args = messages[0]
-    assert fn is crtest.mc._run_share and len(args) == 3
-    assert [share for (share,) in args] == _shares(_tasks(LOPSIDED, 3), 3)
-    assert pooled.cells == run(LOPSIDED, workers=1).cells
+    for cfg, workers in ((LOPSIDED, 3), (POOL_GRID, 2)):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)), raising=False)
+        calls.clear()
+        pooled = run(cfg, workers=workers)
+        assert len(calls) == 1
+        fn, chunks = calls[0]
+        assert fn is crtest.mc._run_block and 1 < len(chunks) <= workers
+        # the chunks hold consecutive tasks: together, every task once and in order
+        assert [task for chunk in chunks for task in chunk] == _tasks(cfg)
+        assert pooled.metadata["workers"] == workers
+        assert pooled.cells == run(cfg, workers=1).cells
 
 
 def test_lopsided_grid_gives_the_serial_cells_at_every_worker_count(monkeypatch):
@@ -638,8 +621,8 @@ def test_pool_workers_start_with_numpy_random_loaded(fresh):
         "    if 'numpy.random' not in sys.modules:",
         "        raise RuntimeError('worker task started without numpy.random loaded')",
         "    return run_block(*args)",
-        # the pool pickles _run_share by name, and the workers' _run_share
-        # finds the guard as crtest.mc._run_block when it calls it
+        # the pool pickles crtest.mc._run_block by name, here the guard's
+        # __main__.cold_guard, which the forked workers hold
         "crtest.mc._run_block = cold_guard",
         "cfg = SimConfig(params=FamilyParams(lam=1.0, p1=0.4, a=1.0, seed=3), n_grid=(10, 20),",
         "                alpha_grid=(0.05,), a_grid=(1.0,), reps=100)",
@@ -686,17 +669,23 @@ def test_new_worker_count_replaces_the_pool(monkeypatch):
 
 @needs_fork
 def test_no_convergence_on_the_pool_fails_one_run_and_drops_the_pool(monkeypatch):
-    cfg = small_config(n_grid=(20,), reps=200)
+    # two cells make two tasks, so the run is pooled
+    cfg = small_config(n_grid=(20,), a_grid=(1.0, 1.5), reps=200)
     # the pool is started after the patch, so its workers see the patched limit
     monkeypatch.setattr(crtest.jel, "_MAX_ITER", 1)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     crtest.mc._drop_pool()
+    pools = []
+    monkeypatch.setattr(crtest.mc, "_pool", lambda workers: pools.append(workers) or _pool(workers))
     with pytest.raises(NoConvergence):
         run(cfg, workers=2)
+    assert pools == [2]
     assert crtest.mc._POOL is None
     monkeypatch.undo()
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    assert run(cfg, workers=2).cells == run(cfg, workers=1).cells
+    pooled = run(cfg, workers=2)
+    assert pooled.metadata["workers"] == 2
+    assert pooled.cells == run(cfg, workers=1).cells
 
 
 # Runs asking for 2 and 3 workers replace each other's pool; one that shut a
@@ -775,7 +764,7 @@ def test_forked_child_starts_its_own_pool(fresh):
     assert proc.stdout.split() == ["same=1", "own=1", "status=0"], proc.stderr
 
 
-# Each worker's share sleeps for a minute; SIGINT reaches the parent alone,
+# Each worker's chunk sleeps for a minute; SIGINT reaches the parent alone,
 # as from `kill -INT` or a notebook's interrupt, not a terminal's Ctrl-C.
 # The script installs Python's own SIGINT handler first: a background job of
 # a non-interactive shell inherits SIGINT ignored, and there raise_signal
