@@ -30,20 +30,16 @@ from .reader import IngestResult, IngestSpec, ingest
 SCHEMA_VERSION = 2  # of the ``test`` report
 
 
-def _labels(text: str) -> frozenset[str]:
-    out = frozenset(part.strip() for part in text.split(",") if part.strip())
-    if not out:
-        raise argparse.ArgumentTypeError("expected a comma-separated list of labels")
-    return out
-
-
 def _list(kind, what: str):
-    """An argparse type: comma-separated ``kind`` values, as a tuple."""
+    """An argparse type: one or more comma-separated ``kind`` values, as a tuple."""
     def parse(text: str) -> tuple:
         try:
-            return tuple(kind(part) for part in text.split(",") if part.strip())
+            out = tuple(kind(part) for part in text.split(",") if part.strip())
         except ValueError:
+            out = ()
+        if not out:
             raise argparse.ArgumentTypeError(f"expected comma-separated {what}, got {text!r}")
+        return out
     return parse
 
 
@@ -68,11 +64,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="failure-time column: header name, or 0-based index")
     t.add_argument("--cause-col", required=True, type=_column,
                    help="cause column: header name, or 0-based index")
-    t.add_argument("--cause1", required=True, type=_labels,
+    t.add_argument("--cause1", required=True, type=_list(str, "labels"),
                    help="comma-separated labels recoded to cause 1")
-    t.add_argument("--cause2", required=True, type=_labels,
+    t.add_argument("--cause2", required=True, type=_list(str, "labels"),
                    help="comma-separated labels recoded to cause 2")
-    t.add_argument("--drop", type=_labels, default=frozenset(),
+    t.add_argument("--drop", type=_list(str, "labels"), default=(),
                    help="comma-separated labels whose rows are dropped (e.g. censored)")
     t.add_argument("--method", choices=("jel", "ddk"), default="jel")
     t.add_argument("--alpha", type=float, default=0.05)

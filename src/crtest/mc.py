@@ -31,23 +31,26 @@ outside [L, U], which decides every rejection as the full solve would
 ``newton_iters_max`` (schema 3) is the most Newton steps any of the cell's
 rows took to its decision, not to convergence.
 
-A run on more than one worker sends its tasks through the executor's own
-chunked ``map``: each worker gets one message of consecutive tasks, so the
-pool's fixed cost per message is paid once per worker, not once per task.
-Such runs share one process pool per process, started by the first
-such run and reused until the interpreter exits, a run asks for a
-different worker count, or a run fails; a failed or interrupted run stops
-its workers, whatever tasks they are running, takes its pool down with it,
-and the next run starts a fresh one.  This pays off in a process that
-makes several runs, as a study over several ``FamilyParams`` does: one
-``run`` per setting.  Between runs the workers sit idle, and
-pooled runs from several threads take turns on the one pool.  Workers keep
-the module state they started with, so patching ``crtest`` after the first
-pooled run does not reach them, with one exception: each run sends the
-function held as ``crtest.mc._run_block`` by its qualified name, so a
-replacement that the workers can import reaches them.  A child forked from
-a process with a live pool starts its own pool; the fork is one of a
-multi-threaded process, as the pool keeps two threads in the parent.
+A run cuts its task list into chunks of ``ceil(tasks / workers)``
+consecutive tasks, with ``workers`` capped at the available CPUs, and
+starts one process per chunk, so no process sits idle and
+``metadata["workers"]`` is the number of chunks.  A run of more than one
+chunk sends them through the executor's own chunked ``map``, one message
+per process, so the pool's fixed cost per message is paid once per
+process, not once per task.  Such runs share one process pool per process,
+started by the first such run and reused until the interpreter exits, a
+run makes a different number of chunks, or a run fails; a failed or
+interrupted run stops its workers, whatever tasks they are running, takes
+its pool down with it, and the next run starts a fresh one.  This pays off
+in a process that makes several runs, as a study over several
+``FamilyParams`` does: one ``run`` per setting.  Between runs the workers
+sit idle, and pooled runs from several threads take turns on the one pool.
+Workers keep the module state they started with, so patching ``crtest``
+after the first pooled run does not reach them, with one exception: each
+run sends the function held as ``crtest.mc._run_block`` by its qualified
+name, so a replacement that the workers can import reaches them.  A child
+forked from a process with a live pool starts its own pool; the fork is one
+of a multi-threaded process, as the pool keeps two threads in the parent.
 """
 
 from __future__ import annotations
@@ -253,28 +256,26 @@ def _pool(workers: int):
 
 
 def run(config: SimConfig, workers: int = 0) -> SimTable:
-    """Execute the harness on ``workers`` processes (0 = one per CPU),
-    capped at the available CPUs and the task count.
+    """Execute the harness on one process per chunk of consecutive tasks,
+    with at most ``workers`` chunks (0 = one per CPU) and at most one per
+    available CPU.
 
-    More than one worker runs the tasks on this process's shared pool (see
-    the module docstring): it outlives the call, until interpreter exit, a
-    run with another worker count, or an error.  Any exception from the pool,
+    More than one chunk runs on this process's shared pool (see the module
+    docstring): it outlives the call, until interpreter exit, a run with
+    another chunk count, or an error.  Any exception from the pool,
     a killed worker's ``BrokenProcessPool`` included, fails this call only
     and drops the pool; the next call starts a fresh one.
     """
     t_start = time.perf_counter()
-    workers = _resolve_workers(workers)
-    lam, p1, seed = config.params.lam, config.params.p1, config.params.seed
-
     tasks = _tasks(config)
-    workers = min(workers, len(tasks))
+    chunk = -(-len(tasks) // _resolve_workers(workers))
+    workers = -(-len(tasks) // chunk)  # one process per chunk
     if workers == 1:
         results = map(_run_block, *zip(*tasks))
     else:
         with _POOL_LOCK:
             try:
-                results = list(_pool(workers).map(
-                    _run_block, *zip(*tasks), chunksize=-(-len(tasks) // workers)))
+                results = list(_pool(workers).map(_run_block, *zip(*tasks), chunksize=chunk))
             except BaseException:
                 # shutdown() cancels only chunks not yet started, and waits
                 # for the running ones, each a worker's whole chunk: stop the
@@ -310,9 +311,9 @@ def run(config: SimConfig, workers: int = 0) -> SimTable:
     metadata = {
         "schema_version": SCHEMA_VERSION,
         "package_version": __version__,
-        "seed": seed,
-        "lambda": lam,
-        "p1": p1,
+        "seed": config.params.seed,
+        "lambda": config.params.lam,
+        "p1": config.params.p1,
         "a_grid": list(config.a_grid),
         "n_grid": list(config.n_grid),
         "alpha_grid": list(config.alpha_grid),

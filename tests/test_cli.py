@@ -169,7 +169,10 @@ def test_usage_error_exits_2(capsys):
 @pytest.mark.parametrize("args, message", [
     (["test", "--input", TOY, "--time-col", "time", "--cause-col", "status",
       "--cause1", ",", "--cause2", "2"],
-     "argument --cause1: expected a comma-separated list of labels"),
+     "argument --cause1: expected comma-separated labels, got ','"),
+    (["test", "--input", TOY, "--time-col", "time", "--cause-col", "status",
+      "--cause1", "1", "--cause2", "2", "--drop", ","],
+     "argument --drop: expected comma-separated labels, got ','"),
     (["power", "--a-grid", "1,x", "--n-grid", "20", "--p1", "0.3", "--seed", "1"],
      "expected comma-separated numbers, got '1,x'"),
     (["power", "--a-grid", "1.5", "--n-grid", "20,2.5", "--p1", "0.3", "--seed", "1"],
@@ -244,13 +247,14 @@ def test_power_json_grid(capsys):
 
 def test_power_rejects_empty_grids(capsys):
     grids = {"--a-grid": "1.0", "--n-grid": "6", "--alphas": "0.05"}
-    names = {"--a-grid": "a_grid", "--n-grid": "n_grid", "--alphas": "alpha_grid"}
-    for empty, name in names.items():
+    kinds = {"--a-grid": "numbers", "--n-grid": "integers", "--alphas": "numbers"}
+    for empty, kind in kinds.items():
         args = ["power", "--p1", "0.5", "--reps", "100", "--seed", "6"]
         for flag, value in grids.items():
             args += [flag, "," if flag == empty else value]
-        assert cli_main(args) == 1
-        assert f"error: {name} must be non-empty" in capsys.readouterr().err
+        assert cli_main(args) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"argument {empty}: expected comma-separated {kind}" in err
 
 
 def test_power_respects_method_choice(capsys):

@@ -568,6 +568,7 @@ def test_one_task_runs_without_a_pool(monkeypatch):
     assert table.cells == run(cfg, workers=1).cells
 
 
+FIVE_TASKS = small_config(n_grid=(20, 30, 40, 50, 60), reps=200)
 LOPSIDED = small_config(params=FamilyParams(lam=1.0, p1=0.5, a=1.0, seed=4), n_grid=(20, 1000),
                         a_grid=(1.5,), reps=400)
 
@@ -583,16 +584,17 @@ def test_pooled_run_sends_one_message_per_worker(monkeypatch):
             return [fn(*a) for chunk in chunks for a in chunk]
 
     monkeypatch.setattr(crtest.mc, "_pool", lambda workers: InlinePool())
-    for cfg, workers in ((LOPSIDED, 3), (POOL_GRID, 2)):
+    # five tasks at four workers make chunks of two: three chunks, so three processes
+    for cfg, workers, count in ((LOPSIDED, 3, 3), (POOL_GRID, 2, 2), (FIVE_TASKS, 4, 3)):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)), raising=False)
         calls.clear()
         pooled = run(cfg, workers=workers)
         assert len(calls) == 1
         fn, chunks = calls[0]
-        assert fn is crtest.mc._run_block and 1 < len(chunks) <= workers
+        assert fn is crtest.mc._run_block and len(chunks) == count
         # the chunks hold consecutive tasks: together, every task once and in order
         assert [task for chunk in chunks for task in chunk] == _tasks(cfg)
-        assert pooled.metadata["workers"] == workers
+        assert pooled.metadata["workers"] == len(chunks)
         assert pooled.cells == run(cfg, workers=1).cells
 
 
@@ -653,6 +655,17 @@ def test_pooled_runs_reuse_one_pool(monkeypatch):
 
 
 @needs_fork
+def test_pool_starts_one_process_per_chunk(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    crtest.mc._drop_pool()
+    first = run(FIVE_TASKS, workers=4)
+    pool, workers = live_pool()
+    assert len(workers) == first.metadata["workers"] == 3
+    assert run(FIVE_TASKS, workers=4).cells == first.cells
+    assert live_pool() == (pool, workers)
+
+
+@needs_fork
 def test_new_worker_count_replaces_the_pool(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
     serial = run(POOL_GRID, workers=1)
@@ -688,15 +701,16 @@ def test_no_convergence_on_the_pool_fails_one_run_and_drops_the_pool(monkeypatch
     assert pooled.cells == run(cfg, workers=1).cells
 
 
-# Runs asking for 2 and 3 workers replace each other's pool; one that shut a
-# pool down under another thread's run would fail that run.
+# Runs asking for 2 and 3 workers cut the 6 tasks into 2 and 3 chunks, so
+# they replace each other's pool; one that shut a pool down under another
+# thread's run would fail that run.
 THREADS_SCRIPT = """
 import os, sys, threading
 os.sched_getaffinity = lambda pid: {0, 1, 2, 3}
 from crtest import FamilyParams, SimConfig, run
 
 cfg = SimConfig(params=FamilyParams(lam=1.0, p1=0.1, a=1.0, seed=1), n_grid=(20, 50),
-                alpha_grid=(0.05,), a_grid=(1.0, 2.0), reps=150)
+                alpha_grid=(0.05,), a_grid=(1.0, 1.5, 2.0), reps=150)
 serial = run(cfg, workers=1).cells
 results = []
 
