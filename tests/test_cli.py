@@ -170,13 +170,13 @@ def test_usage_error_exits_2(capsys):
     (["test", "--input", TOY, "--time-col", "time", "--cause-col", "status",
       "--cause1", ",", "--cause2", "2"],
      "argument --cause1: expected comma-separated labels, got ','"),
-    (["test", "--input", TOY, "--time-col", "time", "--cause-col", "status",
-      "--cause1", "1", "--cause2", "2", "--drop", ","],
-     "argument --drop: expected comma-separated labels, got ','"),
     (["power", "--a-grid", "1,x", "--n-grid", "20", "--p1", "0.3", "--seed", "1"],
      "expected comma-separated numbers, got '1,x'"),
     (["power", "--a-grid", "1.5", "--n-grid", "20,2.5", "--p1", "0.3", "--seed", "1"],
      "expected comma-separated integers"),
+    (["test", "--input", TOY, "--time-col", "time", "--cause-col", "status",
+      "--cause1", "1", "--cause2", "2", "--drop", ","],
+     "argument --drop: expected comma-separated labels, got ','"),
 ])
 def test_list_options_refuse_malformed_lists(args, message, capsys):
     assert cli_main(args) == 2
